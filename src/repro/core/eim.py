@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.assignment import covering_radius
+from repro.core.assignment import evaluate_on
 from repro.core.gonzalez import gonzalez_trace
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, ConvergenceError, InvalidParameterError
@@ -305,6 +305,8 @@ def eim(
 
     cluster = SimulatedCluster(m, capacity, executor=executor, dist_counter=space.counter)
     wall = Timer()
+    eval_timer = Timer()
+    radius = 0.0
     threshold = params.loop_threshold(n, k)
     iteration_sizes: list[dict[str, int]] = []
     seeds = SeedStream(seed)
@@ -456,11 +458,9 @@ def eim(
             task_sizes=[len(candidates)],
         )
 
-    eval_timer = Timer()
-    radius = 0.0
-    if evaluate:
-        with eval_timer:
-            radius = covering_radius(space, centers)
+        if evaluate:
+            with wall.paused(), eval_timer:
+                radius = evaluate_on(cluster, task_space, centers)
 
     # 4*alpha + 2 with alpha = 2 (GON) = 10, valid w.s.p. only above the
     # paper's phi threshold; no a-priori bound below it (Section 8.3).

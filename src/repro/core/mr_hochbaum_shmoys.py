@@ -37,9 +37,8 @@ import math
 
 import numpy as np
 
-from repro.core.assignment import covering_radius
+from repro.core.assignment import evaluate_on
 from repro.core.hochbaum_shmoys import MAX_POINTS, hochbaum_shmoys
-from repro.core.mrg import _bind_views_eagerly
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, InvalidParameterError
 from repro.mapreduce.cluster import SimulatedCluster
@@ -49,7 +48,7 @@ from repro.mapreduce.model import validate_cluster
 from repro.mapreduce.partition import PARTITIONERS
 from repro.metric.base import MetricSpace
 from repro.store.shm import shared_space
-from repro.store.space import machine_view
+from repro.store.space import _bind_views_eagerly, machine_view
 from repro.utils.rng import SeedLike, SeedStream
 from repro.utils.timing import Timer
 
@@ -68,7 +67,7 @@ def _hs_shard_task(
     back in the :class:`TaskOutput` for exact round accounting.
     ``bound=True`` means ``space`` is already this machine's view
     (prebuilt at schedule time so a process-pool task ships only its
-    shard's rows; see :func:`repro.core.mrg._bind_views_eagerly`).
+    shard's rows; see :func:`repro.store.space._bind_views_eagerly`).
     """
     view = space if bound else machine_view(space, shard)
     try:
@@ -129,6 +128,8 @@ def mr_hochbaum_shmoys(
     cluster = SimulatedCluster(m, capacity, executor=executor, dist_counter=space.counter)
     seeds = SeedStream(seed)
     wall = Timer()
+    eval_timer = Timer()
+    radius = 0.0
 
     # Same zero-copy scope as MRG: in-memory coordinates published once
     # per job for process-pool rounds (repro.store.shm).
@@ -164,11 +165,9 @@ def mr_hochbaum_shmoys(
             "mrhs.final", [bind(union)], task_sizes=[len(union)]
         )
 
-    eval_timer = Timer()
-    radius = 0.0
-    if evaluate:
-        with eval_timer:
-            radius = covering_radius(space, centers)
+        if evaluate:
+            with wall.paused(), eval_timer:
+                radius = evaluate_on(cluster, task_space, centers)
 
     return KCenterResult(
         algorithm="MRHS",

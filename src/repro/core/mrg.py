@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.assignment import covering_radius
+from repro.core.assignment import evaluate_on
 from repro.core.gonzalez import gonzalez_trace
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, InvalidParameterError
@@ -41,31 +41,11 @@ from repro.mapreduce.model import default_capacity, mrg_approximation_factor, va
 from repro.mapreduce.partition import PARTITIONERS, block_partition
 from repro.metric.base import MetricSpace
 from repro.store.shm import shared_space
-from repro.store.space import ChunkedMetricSpace, machine_view
+from repro.store.space import _bind_views_eagerly, machine_view
 from repro.utils.rng import SeedLike, spawn_seeds
 from repro.utils.timing import Timer
 
 __all__ = ["mrg"]
-
-
-def _bind_views_eagerly(space: MetricSpace, executor: Executor) -> bool:
-    """Whether reducer tasks should carry a prebuilt machine view.
-
-    Only worth it for in-memory spaces crossing a process boundary
-    *without* a zero-copy route: pickling the prebuilt view ships just
-    the shard's rows, where the parent space would ship the whole
-    dataset to every worker.  Chunked spaces always bind lazily — they
-    pickle by re-opening their backing (no data crosses) — and so do
-    spaces published to shared memory (``space._shared`` set inside a
-    :func:`repro.store.shm.shared_space` scope): they pickle as a
-    ~100-byte handle, and the worker builds the view against the
-    attached block, keeping even the shard-row copies off the driver.
-    """
-    return (
-        getattr(executor, "crosses_process_boundary", False)
-        and not isinstance(space, ChunkedMetricSpace)
-        and getattr(space, "_shared", None) is None
-    )
 
 
 def _gon_shard_task(
@@ -78,7 +58,8 @@ def _gon_shard_task(
     contiguous shard of an out-of-core space stays out-of-core — the
     round-1 partition of a sharded dataset never gathers ``(n, d)``
     anywhere, driver or worker.  ``bound=True`` means ``space`` is
-    already this machine's view (see :func:`_bind_views_eagerly`);
+    already this machine's view (see
+    :func:`repro.store.space._bind_views_eagerly`);
     ``seed`` is keyword-only so :class:`~repro.mapreduce.tasks.TaskSpec`
     can bind it per task.
     """
@@ -170,6 +151,8 @@ def mrg(
 
     cluster = SimulatedCluster(m, c, executor=executor, dist_counter=space.counter)
     wall = Timer()
+    eval_timer = Timer()
+    radius = float("nan")
 
     # Publish the in-memory coordinate block once per job when the rounds
     # run in a process pool: reducer tasks then pickle a shared-memory
@@ -255,11 +238,11 @@ def mrg(
             task_sizes=[len(current)],
         )
 
-    eval_timer = Timer()
-    radius = float("nan")
-    if evaluate:
-        with eval_timer:
-            radius = covering_radius(space, centers)
+        # The evaluate pass runs on the pool while the segment is still
+        # published; it is timed apart from the algorithm (eval_time).
+        if evaluate:
+            with wall.paused(), eval_timer:
+                radius = evaluate_on(cluster, task_space, centers)
 
     total_rounds = reduction_rounds + 1
     # With zero reduction rounds (the whole input fit on one machine) the

@@ -81,7 +81,9 @@ class Executor(Protocol):
     backends whose tasks execute in another process advertise it with a
     truthy ``crosses_process_boundary`` class attribute, which the
     solvers use to decide when publishing a space to shared memory is
-    worth it (:mod:`repro.store.shm`).
+    worth it (:mod:`repro.store.shm`).  An optional ``workers`` count
+    (default 1) sizes the evaluate pass's row ranges
+    (:func:`repro.core.assignment.evaluate_on`).
     """
 
     def run(
@@ -104,6 +106,7 @@ class SequentialExecutor:
     """
 
     crosses_process_boundary = False
+    workers = 1
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
@@ -144,6 +147,11 @@ class _PoolBackend:
         self.max_workers = max_workers
         self.persistent = bool(persistent)
         self._pool = None
+
+    @property
+    def workers(self) -> int:
+        """How many tasks the pool runs at once."""
+        return self.max_workers or os.cpu_count() or 1
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -297,8 +305,7 @@ class ProcessPoolExecutorBackend(_PoolBackend):
     def _resolve_chunksize(self, n_tasks: int) -> int:
         if self.chunksize is not None:
             return self.chunksize
-        workers = self.max_workers or os.cpu_count() or 1
-        return max(1, math.ceil(n_tasks / (4 * workers)))
+        return max(1, math.ceil(n_tasks / (4 * self.workers)))
 
     def _map(self, pool, tasks: Sequence[Callable[[], Any]]) -> list:
         return list(

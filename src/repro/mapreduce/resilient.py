@@ -275,6 +275,10 @@ class ResilientExecutor:
     def crosses_process_boundary(self) -> bool:
         return bool(getattr(self.inner, "crosses_process_boundary", False))
 
+    @property
+    def workers(self) -> int:
+        return getattr(self.inner, "workers", 1)
+
     def open(self) -> "ResilientExecutor":
         if hasattr(self.inner, "open"):
             self.inner.open()

@@ -227,6 +227,7 @@ def bind_round(
     specs: Sequence[TaskSpec],
     *,
     executor: Any = None,
+    cat: str = "task",
 ) -> tuple[list[Callable[[], Any]], Callable | None]:
     """Validate the contract and return executor-ready callables.
 
@@ -238,6 +239,8 @@ def bind_round(
     the tracer's live span callback when the executor stays in-process
     (``None`` otherwise — live sinks are closures and cannot cross a
     pickle boundary), and must be handed back to :func:`commit`.
+    ``cat`` is the task spans' category: ``"task"`` for round tasks,
+    ``"evaluate"`` for the evaluate pass, which is not a round.
     """
     specs = list(specs)
     for index, spec in enumerate(specs):
@@ -268,6 +271,7 @@ def bind_round(
                 run_id=tracer.run_id,
                 name=spec.name if spec.name is not None else f"{label}[{index}]",
                 index=index,
+                cat=cat,
                 detail=tracer.detail,
                 args=spec.trace_args if spec.trace_args else (("round", label),),
             ),

@@ -132,7 +132,14 @@ class EuclideanSpace(MetricSpace):
         if y.shape[0] == 0:
             return current
         self.counter.add(x.shape[0] * y.shape[0])
-        return kernels.update_min_dists(current, x, y, block_bytes=self.block_bytes)
+        return kernels.update_min_dists(
+            current,
+            x,
+            y,
+            block_bytes=self.block_bytes,
+            x_sq=self._sqn(i_idx),
+            y_sq=self._sqn(j_idx),
+        )
 
     def nearest(
         self, i_idx: np.ndarray | None, j_idx: np.ndarray | None

@@ -69,13 +69,15 @@ __all__ = [
 #: larger is a programming error — use the chunked kernels instead.
 MAX_DENSE_ELEMENTS = 128 * 2**20
 
-#: Cap on a single retained :class:`Workspace` buffer.  Matches the
-#: chunked kernels' temporary-block budget: every blocked path requests
-#: at most ~``DEFAULT_BLOCK_BYTES`` per role, so the cap never affects
-#: them; it only stops *unblocked* whole-array temporaries (a full-space
-#: ``dists_to_point`` on a huge in-memory set) from being pinned by the
-#: thread-local workspace after the call ends.
-MAX_RETAINED_BYTES = DEFAULT_BLOCK_BYTES
+#: Cap on a single retained :class:`Workspace` buffer.  Deliberately its
+#: own constant, far above the L2-sized block budget: besides the blocks,
+#: the workspace recycles per-call scratch that scales with the rows a
+#: task owns — Gonzalez's ``(rows, d)`` difference buffer (640 KB on a
+#: 10^4 x 8 MRG shard) and the covering pass's per-row minima — and
+#: those must stay recycled.  The cap only stops dataset-sized
+#: temporaries (a full-space ``dists_to_point`` on a huge in-memory set)
+#: from being pinned by the thread-local workspace after the call ends.
+MAX_RETAINED_BYTES = 32 * 2**20
 
 #: Squared distances below this fraction of ``|x|^2 + |y|^2`` are
 #: cancellation-dominated in the GEMM expansion and are recomputed through
@@ -120,11 +122,10 @@ class Workspace:
     memory unless the caller passed the workspace in explicitly.
 
     Retention is bounded: requests above :data:`MAX_RETAINED_BYTES`
-    (the chunked kernels' block budget) are served as plain transient
-    allocations instead of growing the held buffer, so a workspace that
-    once saw a dataset-sized temporary (e.g. a whole-space
-    ``dists_to_point`` pass) does not pin it for the life of the
-    thread — held scratch stays O(block budget), never O(n·d).
+    are served as plain transient allocations instead of growing the
+    held buffer, so a workspace that once saw a dataset-sized temporary
+    (e.g. a whole-space ``dists_to_point`` pass) does not pin it for the
+    life of the thread — held scratch stays bounded, never O(n·d).
 
     One workspace must not be shared between threads; use
     :func:`workspace` for a per-thread instance.
@@ -336,17 +337,26 @@ def update_min_dists(
     y: np.ndarray,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
     ws: Workspace | None = None,
+    x_sq: np.ndarray | None = None,
+    y_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """In-place ``current[i] = min(current[i], d(x[i], y))`` for all rows.
 
     ``current`` holds each point's distance to some existing reference set;
     this folds a batch of new reference points ``y`` into it.  It is the
-    workhorse of EIM's Round 3 (removal) and of incremental assignment.
-    Work is blocked over both ``x`` and ``y`` so the temporary block stays
-    under ``block_bytes``; every block temporary (GEMM output, row minima)
-    is recycled through the calling thread's :class:`Workspace` — each is
-    folded into ``current`` before the next block is computed, so reuse
-    never changes a bit.
+    workhorse of the covering-radius pass, EIM's Round 3 (removal) and
+    incremental assignment.  Work is blocked over ``x`` so each GEMM block
+    stays under ``block_bytes`` (L2-sized by default, so the elementwise
+    passes over a block hit cache); block temporaries are recycled
+    through the calling thread's :class:`Workspace`.  ``x_sq``/``y_sq``
+    are optional precomputed squared norms (a space's cached ``_sq``).
+
+    The pass is fused: each block is reduced to its row minima first,
+    and only rows whose minimum lies below ``CANCEL_RTOL * (x_sq[i] +
+    max y_sq)`` — the only rows that can hold a cancellation-dominated
+    entry — go through :func:`sq_dists_block`'s per-entry refinement
+    rule.  The same entries are refined, so the minima are bit-identical
+    to ``sq_dists_block(x, y).min(axis=1)`` under any blocking.
 
     Returns ``current`` (modified in place) for chaining.
     """
@@ -363,14 +373,45 @@ def update_min_dists(
         np.minimum(current, dists_to_point(x, y[0], ws=ws), out=current)
         return current
 
-    y_sq = _sq_norms(y)
-    x_chunk = resolve_chunk_size(y.shape[0], block_bytes=block_bytes)
-    for sl in chunk_slices(x.shape[0], x_chunk):
-        xb = x[sl]
-        sq = sq_dists_block(xb, y, y_sq=y_sq, ws=ws)
-        block_min = sq.min(axis=1, out=ws.take("rowmin", (sq.shape[0],)))
-        np.sqrt(block_min, out=block_min)
-        np.minimum(current[sl], block_min, out=current[sl])
+    if y_sq is None:
+        y_sq = _sq_norms(y)
+    if x_sq is None:
+        x_sq = _sq_norms(x)
+    n, k = x.shape[0], y.shape[0]
+    sq_min = ws.take("rowmin", (n,))
+    x_chunk = resolve_chunk_size(k, block_bytes=block_bytes)
+    for sl in chunk_slices(n, x_chunk):
+        rows = sl.stop - sl.start
+        # Traced under sq_dists_block's name: the same squared-distance
+        # block, reduced in place instead of returned.
+        with _trace.block_span("kernels.sq_dists_block", rows=rows, cols=k):
+            if rows == 1:
+                # The 1-row duplication of sq_dists_block: same GEMM kernel.
+                xb = np.concatenate([x[sl], x[sl]])
+                xb_sq = np.concatenate([x_sq[sl], x_sq[sl]])
+            else:
+                xb, xb_sq = x[sl], x_sq[sl]
+            # sq_dists_block's expansion, in its operation order.
+            out = np.matmul(xb, y.T, out=ws.take("gemm", (xb.shape[0], k)))
+            out *= -2.0
+            out += xb_sq[:, None]
+            out += y_sq[None, :]
+            out[:rows].min(axis=1, out=sq_min[sl])
+    # Row-local refinement: entry (i, j) is cancellation-dominated when
+    # below CANCEL_RTOL * (x_sq[i] + y_sq[j]), a bound no larger than the
+    # row cut here, so only rows whose minimum falls under it can hold
+    # one.  Those rows go through sq_dists_block's per-entry rule (and
+    # its clipping; a negative minimum is always under the cut), so the
+    # minima keep its bits.
+    cut = x_sq + y_sq.max()
+    cut *= CANCEL_RTOL
+    suspect = np.flatnonzero(sq_min < cut)
+    for sl in chunk_slices(suspect.size, x_chunk):
+        idx = suspect[sl]
+        sq = sq_dists_block(x[idx], y, x_sq[idx], y_sq, ws=ws)
+        sq_min[idx] = sq.min(axis=1)
+    np.sqrt(sq_min, out=sq_min)
+    np.minimum(current, sq_min, out=current)
     return current
 
 

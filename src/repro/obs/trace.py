@@ -94,7 +94,7 @@ class SpanRecord:
     """
 
     name: str
-    cat: str  # "solve" | "round" | "task" | "block" | "attempt" | ...
+    cat: str  # "solve" | "round" | "task" | "evaluate" | "block" | "attempt" | ...
     start: float
     duration: float
     pid: int

@@ -291,18 +291,24 @@ class ChunkedMetricSpace(MetricSpace):
     def _x_segments(self, i_idx: np.ndarray | None):
         """Query points as (output slice, coords, sq norms) segments.
 
-        ``None`` streams the chunk grid (bounded memory); an index array
+        ``None`` and contiguous row ranges (an evaluate task's rows)
+        stream the chunk grid (bounded memory); any other index array
         materialises its ``(len(i_idx), dim)`` gather — the documented
         contract for explicit index sets.
         """
-        if i_idx is None:
-            for b in range(self.stream.n_chunks):
-                start, stop = self.stream.chunk_span(b)
-                coords, sq = self._chunk(b)
-                yield slice(start, stop), coords, sq
-        else:
+        span = (0, self.n) if i_idx is None else _contiguous_span(i_idx)
+        if span is None:
             x, x_sq = self._gather(i_idx)
             yield slice(0, x.shape[0]), x, x_sq
+            return
+        lo, hi = span
+        cs = self.stream.chunk_size
+        for b in range(lo // cs, -(-hi // cs)):
+            start, stop = self.stream.chunk_span(b)
+            a, z = max(start, lo), min(stop, hi)
+            coords, sq = self._chunk(b)
+            part = slice(a - start, z - start)
+            yield slice(a - lo, z - lo), coords[part], sq[part]
 
     def update_min_dists(
         self,
@@ -425,6 +431,13 @@ class ChunkedMetricSpace(MetricSpace):
         )
 
 
+def _contiguous_span(idx: np.ndarray) -> tuple[int, int] | None:
+    """``(start, stop)`` when ``idx`` is exactly ``range(start, stop)``."""
+    if not idx.size or idx[-1] - idx[0] + 1 != idx.size:
+        return None
+    return (int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else None
+
+
 def machine_view(
     space: MetricSpace, idx: np.ndarray, counter: DistCounter | None = None
 ) -> MetricSpace:
@@ -445,16 +458,32 @@ def machine_view(
     """
     counter = TaskCounter() if counter is None else counter
     idx = np.asarray(idx, dtype=np.intp)
-    if (
-        isinstance(space, ChunkedMetricSpace)
-        and idx.size
-        and idx[-1] - idx[0] + 1 == idx.size
-        and bool(np.all(np.diff(idx) == 1))
-    ):
-        return space.range_view(int(idx[0]), int(idx[-1]) + 1, counter=counter)
+    span = _contiguous_span(idx) if isinstance(space, ChunkedMetricSpace) else None
+    if span is not None:
+        return space.range_view(*span, counter=counter)
     local = space.local(idx)
     local.counter = counter
     return local
+
+
+def _bind_views_eagerly(space: MetricSpace, executor) -> bool:
+    """Whether reducer tasks should carry a prebuilt machine view.
+
+    Only worth it for in-memory spaces crossing a process boundary
+    *without* a zero-copy route: pickling the prebuilt view ships just
+    the shard's rows, where the parent space would ship the whole
+    dataset to every worker.  Chunked spaces always bind lazily — they
+    pickle by re-opening their backing (no data crosses) — and so do
+    spaces published to shared memory (``space._shared`` set inside a
+    :func:`repro.store.shm.shared_space` scope): they pickle as a
+    ~100-byte handle, and the worker builds the view against the
+    attached block, keeping even the shard-row copies off the driver.
+    """
+    return (
+        getattr(executor, "crosses_process_boundary", False)
+        and not isinstance(space, ChunkedMetricSpace)
+        and getattr(space, "_shared", None) is None
+    )
 
 
 def as_space(data: SpaceLike, chunk_size: int | None = None) -> MetricSpace:

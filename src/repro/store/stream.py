@@ -46,13 +46,13 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
 ]
 
-#: Default byte budget for one stream chunk.  Deliberately much smaller
-#: than the kernels' temporary-block budget (``DEFAULT_BLOCK_BYTES``):
-#: a chunk is *resident coordinate data* (several live at once in the
-#: chunk LRU, plus copies at the read boundary), not a transient, so a
-#: 32 MiB chunk would make out-of-core peak memory approach the file
-#: size for medium inputs.  4 MiB keeps peak O(a few chunks) while
-#: still amortising read/generate overhead.
+#: Default byte budget for one stream chunk.  A chunk is *resident
+#: coordinate data* (several live at once in the chunk LRU, plus copies
+#: at the read boundary), not a transient kernel block, so it is sized
+#: for read/generate overhead and out-of-core peak memory rather than
+#: for cache: a 32 MiB chunk would make peak memory approach the file
+#: size for medium inputs, while 4 MiB keeps peak O(a few chunks) and
+#: still amortises read/generate overhead.
 DEFAULT_CHUNK_BYTES = 4 * 2**20
 
 #: What :func:`as_stream` accepts: an existing stream, a coordinate

@@ -18,10 +18,14 @@ __all__ = [
     "DEFAULT_BLOCK_BYTES",
 ]
 
-#: Default byte budget for one temporary distance block. 32 MiB keeps blocks
-#: comfortably inside last-level cache pressure limits on commodity CPUs
-#: while amortising BLAS call overhead; bench_kernels.py sweeps this choice.
-DEFAULT_BLOCK_BYTES = 32 * 2**20
+#: Default byte budget for one temporary distance block.  256 KiB keeps a
+#: block resident in a per-core L2, so the elementwise passes over it
+#: (scale, norm adds, reduction) run from cache instead of streaming
+#: through L3; at k = 50 reference rows and d = 8 each block's GEMM also
+#: stays under OpenBLAS's threading threshold, so pool workers do not
+#: oversubscribe the cores.  ``benchmarks/bench_kernels.py::
+#: test_chunk_size_sweep`` sweeps this choice.
+DEFAULT_BLOCK_BYTES = 256 * 2**10
 
 
 def chunk_bounds(total: int, chunk: int) -> Iterator[tuple[int, int]]:

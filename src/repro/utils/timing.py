@@ -9,6 +9,7 @@ so every measured number in the benchmarks flows through one code path.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["Timer", "timed"]
@@ -57,6 +58,15 @@ class Timer:
         if self._started_at is not None:
             raise RuntimeError("cannot reset a running Timer")
         self.elapsed = 0.0
+
+    @contextmanager
+    def paused(self):
+        """Stop the running clock for the ``with`` block, then restart it."""
+        self.stop()
+        try:
+            yield self
+        finally:
+            self.start()
 
     def __enter__(self) -> "Timer":
         return self.start()

@@ -35,6 +35,7 @@ from repro.metric.base import DistCounter, TaskCounter
 from repro.metric.euclidean import EuclideanSpace
 from repro.solvers import BatchResults
 from repro.store import DistanceCache, machine_view
+from repro.utils.chunking import DEFAULT_BLOCK_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +283,20 @@ class TestWorkspace:
         assert ws.nbytes == 0  # transient allocation, nothing held
         small = ws.take("diff", (16, 4))
         assert ws.nbytes == small.nbytes
+
+    def test_gon_shard_scratch_is_retained(self):
+        """The retention cap is not the L2-sized block budget: Gonzalez's
+        (rows, d) difference buffer on a 10^4 x 8 MRG shard (640 KB)
+        must be recycled across dists_to_point calls, not reallocated."""
+        assert kernels.MAX_RETAINED_BYTES > DEFAULT_BLOCK_BYTES
+        ws = kernels.Workspace()
+        shard = np.random.default_rng(3).normal(size=(10_000, 8))
+        kernels.dists_to_point(shard, shard[0], ws=ws)
+        held = ws.take("diff", shard.shape)
+        assert ws.nbytes == shard.nbytes == 640_000
+        kernels.dists_to_point(shard, shard[1], ws=ws)
+        again = ws.take("diff", shard.shape)
+        assert again.__array_interface__["data"] == held.__array_interface__["data"]
 
     def test_workspace_is_per_thread(self):
         seen = {}

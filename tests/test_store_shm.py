@@ -168,7 +168,7 @@ class TestEndToEndParity:
             "mrhs": mr_hochbaum_shmoys(EuclideanSpace(big), 8, m=6, seed=3),
         }
 
-    @pytest.mark.parametrize("mode", ["shm", "spill"])
+    @pytest.mark.parametrize("mode", ["shm", "spill", "off"])
     def test_process_pool_solvers_bit_identical(
         self, big, reference, mode, monkeypatch
     ):

@@ -31,6 +31,15 @@ class TestTimer:
             t.start()
         t.stop()
 
+    def test_paused_excludes_the_block(self):
+        t = Timer()
+        with t:
+            with t.paused():
+                assert not t.running
+                time.sleep(0.05)
+            assert t.running
+        assert t.elapsed < 0.05
+
     def test_stop_without_start_rejected(self):
         with pytest.raises(RuntimeError, match="not running"):
             Timer().stop()
