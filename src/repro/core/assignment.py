@@ -103,7 +103,7 @@ def evaluate_on(
         raise InvalidParameterError("covering_radius requires at least one center")
     executor = cluster.executor
     eager = _bind_views_eagerly(space, executor)
-    rows = max(1, math.ceil(space.n / getattr(executor, "workers", 1)))
+    rows = max(1, math.ceil(space.n / executor.workers))
     specs = []
     for start, stop in chunk_bounds(space.n, rows):
         if eager:
@@ -119,7 +119,7 @@ def evaluate_on(
     calls, sink = bind_round("evaluate", specs, executor=executor, cat="evaluate")
     with _trace.span("evaluate", cat="evaluate", tasks=len(calls)):
         try:
-            results, _ = executor.run(calls)
+            results, _, _ = executor.run(calls)
         except TaskFailedError as exc:
             if exc.label is None:
                 exc.label = "evaluate"

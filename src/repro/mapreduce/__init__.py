@@ -48,7 +48,6 @@ from repro.mapreduce.faults import (
     InjectedFault,
     RandomFaults,
 )
-from repro.mapreduce.job import MapReduceJob, MapReduceRound
 from repro.mapreduce.model import (
     machines_after_rounds,
     mrg_approximation_factor,
@@ -75,8 +74,6 @@ __all__ = [
     "RoundStats",
     "JobStats",
     "BatchSummary",
-    "MapReduceJob",
-    "MapReduceRound",
     "SequentialExecutor",
     "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",

@@ -152,7 +152,7 @@ class SimulatedCluster:
         )
         try:
             with round_span:
-                results, times = self.executor.run(calls)
+                results, times, faults = self.executor.run(calls)
         except TaskFailedError as exc:
             # A task exhausted its fault-tolerance budget: stamp the round
             # so the error names the unit of work, not just an index.
@@ -171,16 +171,12 @@ class SimulatedCluster:
             ),
             dist_evals=evals_after - evals_before,
         )
-        # A fault-tolerant executor (ResilientExecutor) reports what it
-        # absorbed this round; duck-typed so the cluster needs no import
-        # of (or hard dependency on) the resilience layer.
-        pop_stats = getattr(self.executor, "pop_round_stats", None)
-        if pop_stats is not None:
-            fault_stats = pop_stats()
-            if fault_stats is not None:
-                round_stats.retries = fault_stats.retries
-                round_stats.speculative_wins = fault_stats.speculative_wins
-                round_stats.wasted_task_seconds = fault_stats.wasted_task_seconds
+        # A fault-tolerant executor (ResilientExecutor) returns what it
+        # absorbed this round; the bare backends return None.
+        if faults is not None:
+            round_stats.retries = faults.retries
+            round_stats.speculative_wins = faults.speculative_wins
+            round_stats.wasted_task_seconds = faults.wasted_task_seconds
         self.stats.add(round_stats)
         if _metrics.REGISTRY.enabled:
             # Bracketed suffixes ("mrg.round1[3]") are stripped so the

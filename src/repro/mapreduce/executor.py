@@ -36,19 +36,23 @@ counter stay exact (``solve_many`` additionally gives each run a private
 counter so per-run records are scheduling-independent, not merely
 race-free).
 
-Lifecycle.  Both pool backends are **persistent** by default: the
-underlying ``concurrent.futures`` pool is created lazily on the first
-:meth:`run` (or eagerly via :meth:`open`) and *reused* by every
-subsequent ``run`` until :meth:`close` — so a multi-round MapReduce job
+Lifecycle.  Both pool backends are **persistent**: the underlying
+``concurrent.futures`` pool is created lazily on the first :meth:`run`
+or :meth:`submit` (or eagerly via :meth:`open`) and *reused* by every
+later call until :meth:`close` — so a multi-round MapReduce job
 (:class:`~repro.mapreduce.cluster.SimulatedCluster` calls ``run`` once
 per round) and repeated ``solve_many`` batches pay the worker spawn cost
 once, not once per round.  The backends are context managers
 (``with ProcessPoolExecutorBackend(4) as ex: ...`` closes the pool on
 exit, error paths included), ``close`` is idempotent and a closed
-backend transparently re-opens on its next ``run``.  Pass
-``persistent=False`` to restore the old spawn-per-``run`` behaviour —
-the baseline the perf harness (``benchmarks/bench_perf.py``) measures
-the persistent engine against.
+backend transparently re-opens on its next call.
+
+Every backend, the sequential one included, has the same surface:
+``run``, ``submit``, ``open``, ``close``, ``workers`` and
+``crosses_process_boundary``.  ``submit`` is the per-task hook the
+resilient wrapper drives its one futures loop through; the sequential
+backend runs the task inline and hands back an already-completed
+future.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ import os
 import time
 from concurrent.futures import (
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
@@ -73,22 +78,32 @@ __all__ = [
 
 
 class Executor(Protocol):
-    """Runs a batch of zero-argument tasks; returns (results, seconds) lists.
+    """Runs a batch of zero-argument tasks; returns ``(results, seconds, faults)``.
 
-    ``run`` is the whole required surface.  Backends that hold resources
-    (worker pools, connections) additionally expose the optional
-    lifecycle — ``open()``, ``close()``, context-manager enter/exit — and
-    backends whose tasks execute in another process advertise it with a
-    truthy ``crosses_process_boundary`` class attribute, which the
-    solvers use to decide when publishing a space to shared memory is
-    worth it (:mod:`repro.store.shm`).  An optional ``workers`` count
-    (default 1) sizes the evaluate pass's row ranges
-    (:func:`repro.core.assignment.evaluate_on`).
+    ``faults`` is the round's
+    :class:`~repro.mapreduce.resilient.RoundFaultStats` when the executor
+    is a :class:`~repro.mapreduce.resilient.ResilientExecutor`, ``None``
+    from the bare backends.  ``submit`` runs one task and returns a
+    ``concurrent.futures.Future`` of :func:`run_task`'s
+    ``(result, seconds)``.  ``open``/``close`` (and the context manager)
+    manage whatever the backend holds; ``workers`` sizes the evaluate
+    pass's row ranges (:func:`repro.core.assignment.evaluate_on`); a
+    truthy ``crosses_process_boundary`` tells the solvers that publishing
+    a space to shared memory is worth it (:mod:`repro.store.shm`).
     """
+
+    crosses_process_boundary: bool
+    workers: int
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float]]: ...
+    ) -> tuple[list[Any], list[float], Any]: ...
+
+    def submit(self, task: Callable[[], Any]) -> Future: ...
+
+    def open(self) -> "Executor": ...
+
+    def close(self) -> None: ...
 
 
 def run_task(task: Callable[[], Any]) -> tuple[Any, float]:
@@ -96,6 +111,11 @@ def run_task(task: Callable[[], Any]) -> tuple[Any, float]:
     t0 = time.perf_counter()
     result = task()
     return result, time.perf_counter() - t0
+
+
+def _run_chunk(tasks: Sequence[Callable[[], Any]]) -> list[tuple[Any, float]]:
+    """Run a chunk of tasks in one pool round-trip (module-level: picklable)."""
+    return [run_task(task) for task in tasks]
 
 
 class SequentialExecutor:
@@ -110,14 +130,22 @@ class SequentialExecutor:
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float]]:
-        results: list[Any] = []
-        times: list[float] = []
-        for task in tasks:
-            result, seconds = run_task(task)
-            results.append(result)
-            times.append(seconds)
-        return results, times
+    ) -> tuple[list[Any], list[float], None]:
+        out = _run_chunk(tasks)
+        return [r for r, _ in out], [t for _, t in out], None
+
+    def submit(self, task: Callable[[], Any]) -> Future:
+        """Run ``task`` now; return a completed future of ``(result, seconds)``.
+
+        A task that raises leaves its exception in the future instead,
+        exactly as a pool worker's failure would arrive.
+        """
+        future: Future = Future()
+        try:
+            future.set_result(run_task(task))
+        except Exception as exc:  # noqa: BLE001 - delivered through the future
+            future.set_exception(exc)
+        return future
 
     def open(self) -> "SequentialExecutor":
         return self
@@ -136,16 +164,15 @@ class _PoolBackend:
     """Shared lifecycle of the thread- and process-pool backends.
 
     Subclasses set :attr:`_pool_factory` (a ``concurrent.futures``
-    executor class) and may override :meth:`_map` (the process backend
-    adds chunked submission).
+    executor class) and may override :meth:`_chunksize` (the process
+    backend batches tasks per IPC round-trip).
     """
 
     _pool_factory: type  # ThreadPoolExecutor | ProcessPoolExecutor
     crosses_process_boundary = False
 
-    def __init__(self, max_workers: int | None = None, persistent: bool = True):
+    def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-        self.persistent = bool(persistent)
         self._pool = None
 
     @property
@@ -202,46 +229,42 @@ class _PoolBackend:
     def _make_pool(self):
         return self._pool_factory(max_workers=self.max_workers)
 
-    def _map(self, pool, tasks: Sequence[Callable[[], Any]]) -> list:
-        return list(pool.map(run_task, tasks))
+    def _chunksize(self, n_tasks: int) -> int:
+        """Tasks per pool submission in :meth:`run`."""
+        return 1
 
-    def submit(self, task: Callable[[], Any]):
-        """Submit one task to the persistent pool, without waiting.
+    def submit(self, task: Callable[[], Any]) -> Future:
+        """Submit one task to the pool (opening it if needed), without waiting.
 
         Returns a ``concurrent.futures.Future`` resolving to
         ``(result, wall_seconds)`` — the same pair :func:`run_task`
         produces under :meth:`run`.  This is the hook
         :class:`~repro.mapreduce.resilient.ResilientExecutor` drives
         per-task retries, timeouts and speculative copies through;
-        ``run`` remains the batch path.  Always uses the persistent pool
-        (opening it if needed) even for ``persistent=False`` backends:
-        individual futures have no natural point to tear a throwaway
-        pool down.
+        ``run`` remains the batch path.
         """
         self.open()
         return self._pool.submit(run_task, task)
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float]]:
+    ) -> tuple[list[Any], list[float], None]:
         if not tasks:
-            return [], []
-        if not self.persistent:
-            with self._make_pool() as pool:
-                out = self._map(pool, tasks)
-        else:
-            self.open()
-            try:
-                out = self._map(self._pool, tasks)
-            except BrokenExecutor:
-                # A broken pool (killed worker, failed spawn) poisons
-                # every later submission; drop it so the next run gets a
-                # fresh pool instead of inheriting the corpse.
-                self.close()
-                raise
-        results = [r for r, _ in out]
-        times = [t for _, t in out]
-        return results, times
+            return [], [], None
+        self.open()
+        size = self._chunksize(len(tasks))
+        chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+        try:
+            out = [
+                pair for chunk in self._pool.map(_run_chunk, chunks) for pair in chunk
+            ]
+        except BrokenExecutor:
+            # A broken pool (killed worker, failed spawn) poisons every
+            # later submission; drop it so the next run gets a fresh
+            # pool instead of inheriting the corpse.
+            self.close()
+            raise
+        return [r for r, _ in out], [t for _, t in out], None
 
 
 class ThreadPoolExecutorBackend(_PoolBackend):
@@ -257,9 +280,6 @@ class ThreadPoolExecutorBackend(_PoolBackend):
     ----------
     max_workers:
         Worker thread count; ``None`` lets the pool pick its default.
-    persistent:
-        Keep the pool alive across :meth:`run` calls (default).  See the
-        module lifecycle notes.
     """
 
     _pool_factory = ThreadPoolExecutor
@@ -268,8 +288,10 @@ class ThreadPoolExecutorBackend(_PoolBackend):
 class ProcessPoolExecutorBackend(_PoolBackend):
     """Run tasks in a process pool (real parallelism; tasks must pickle).
 
-    Task batches are submitted in *chunks* (``Executor.map(chunksize=)``),
-    so a round of many small reducer tasks costs a handful of IPC
+    :meth:`run` submits a batch in *chunks* of
+    ``ceil(n_tasks / (4 * workers))`` tasks — at most four waves per
+    worker, small enough to keep the pool load-balanced, large enough
+    that a round of hundreds of sub-second tasks costs a handful of IPC
     round-trips instead of one per task; results still come back in task
     order, one wall-clock per task, measured inside the worker.
 
@@ -277,37 +299,10 @@ class ProcessPoolExecutorBackend(_PoolBackend):
     ----------
     max_workers:
         Worker process count; ``None`` lets the pool pick (CPU count).
-    persistent:
-        Keep the pool alive across :meth:`run` calls (default).  See the
-        module lifecycle notes.
-    chunksize:
-        Tasks per IPC submission.  ``None`` (default) picks
-        ``ceil(n_tasks / (4 * workers))`` — at most four waves per
-        worker, small enough to keep the pool load-balanced, large
-        enough to amortise the round-trip when hundreds of sub-second
-        tasks are queued.
     """
 
     _pool_factory = ProcessPoolExecutor
     crosses_process_boundary = True
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        persistent: bool = True,
-        chunksize: int | None = None,
-    ):
-        super().__init__(max_workers, persistent=persistent)
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = chunksize
-
-    def _resolve_chunksize(self, n_tasks: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
+    def _chunksize(self, n_tasks: int) -> int:
         return max(1, math.ceil(n_tasks / (4 * self.workers)))
-
-    def _map(self, pool, tasks: Sequence[Callable[[], Any]]) -> list:
-        return list(
-            pool.map(run_task, tasks, chunksize=self._resolve_chunksize(len(tasks)))
-        )

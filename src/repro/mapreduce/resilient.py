@@ -32,22 +32,32 @@ it at dispatch time, wrapping the affected attempts.  Without one, the
 wrapper reacts only to real failures and adds one dictionary lookup per
 task to the happy path.
 
-Accounting: each :meth:`ResilientExecutor.run` call is one *round*; the
-per-round :class:`RoundFaultStats` (retries, speculative launches/wins,
-wasted task-seconds) is consumed by
-:meth:`~repro.mapreduce.cluster.SimulatedCluster.run_round` via
-:meth:`pop_round_stats` and lands in
-:class:`~repro.mapreduce.accounting.RoundStats`; ``solve_many`` folds the
-same numbers into its :class:`~repro.mapreduce.accounting.BatchSummary`.
+One loop serves every backend: attempts go through the inner backend's
+``submit`` and come back as ``concurrent.futures`` futures.  Pool
+backends return live futures, so timeouts preempt (the round moves on at
+the deadline) and stragglers can be speculated against; the sequential
+backend runs each attempt inline and returns it already completed, so
+its timeouts are post-hoc (an over-budget result is discarded and
+retried) and its ``duplicate`` clones always lose the dedup race.
+
+Accounting: each :meth:`ResilientExecutor.run` call is one *round*, and
+returns the round's :class:`RoundFaultStats` (retries, speculative
+launches/wins, wasted task-seconds) as the third element of its result.
+:meth:`~repro.mapreduce.cluster.SimulatedCluster.run_round` stamps them
+onto the round's :class:`~repro.mapreduce.accounting.RoundStats`;
+``solve_many`` folds the same numbers into its
+:class:`~repro.mapreduce.accounting.BatchSummary`.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.errors import InvalidParameterError, TaskFailedError
@@ -55,9 +65,6 @@ from repro.mapreduce.executor import Executor, SequentialExecutor
 from repro.mapreduce.faults import Fault, FaultInjector, apply_fault
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-
-import os
-from functools import partial
 
 __all__ = ["FaultPolicy", "RoundFaultStats", "ResilientExecutor"]
 
@@ -225,17 +232,19 @@ def _abandoned_span(
 class ResilientExecutor:
     """Fault-tolerant wrapper composing with any :class:`Executor` backend.
 
-    Satisfies the ``Executor`` protocol itself (``run``, lifecycle,
-    ``crosses_process_boundary``), so it drops into every slot a bare
-    backend fits: a MapReduce solver's ``executor=`` knob, the
-    ``solve_many`` fan-out, the serve scheduler's warm pool.
+    Has the ``Executor`` surface callers use (``run``, lifecycle,
+    ``workers``, ``crosses_process_boundary``; not ``submit``, which
+    only this wrapper drives, and wrappers do not nest), so it drops
+    into every slot a bare backend fits: a MapReduce solver's
+    ``executor=`` knob, the ``solve_many`` fan-out, the serve
+    scheduler's warm pool.
 
     Parameters
     ----------
     inner:
         The backend that actually executes tasks (default
-        :class:`~repro.mapreduce.executor.SequentialExecutor`).  Pool
-        backends are driven through their persistent pool.
+        :class:`~repro.mapreduce.executor.SequentialExecutor`), driven
+        one attempt at a time through its ``submit``.
     policy:
         The :class:`FaultPolicy` to enforce (default: 2 retries, no
         timeout, no speculation).
@@ -260,11 +269,10 @@ class ResilientExecutor:
         self.faults = faults
         self.totals = RoundFaultStats()
         # The serve scheduler drives one wrapper from several dispatch
-        # threads at once: round numbering is an atomic counter and the
-        # run -> pop_round_stats hand-off is thread-local, so concurrent
-        # batches cannot swap accounting.  ``totals`` folds under a lock.
+        # threads at once: round numbering is an atomic counter and each
+        # run returns its own stats, so concurrent batches cannot swap
+        # accounting.  ``totals`` folds under a lock.
         self._round_counter = itertools.count()
-        self._tls = threading.local()
         self._totals_lock = threading.Lock()
         self._driver_pid = os.getpid()
 
@@ -273,20 +281,18 @@ class ResilientExecutor:
     # ------------------------------------------------------------------ #
     @property
     def crosses_process_boundary(self) -> bool:
-        return bool(getattr(self.inner, "crosses_process_boundary", False))
+        return self.inner.crosses_process_boundary
 
     @property
     def workers(self) -> int:
-        return getattr(self.inner, "workers", 1)
+        return self.inner.workers
 
     def open(self) -> "ResilientExecutor":
-        if hasattr(self.inner, "open"):
-            self.inner.open()
+        self.inner.open()
         return self
 
     def close(self) -> None:
-        if hasattr(self.inner, "close"):
-            self.inner.close()
+        self.inner.close()
 
     def __enter__(self) -> "ResilientExecutor":
         return self.open()
@@ -295,39 +301,17 @@ class ResilientExecutor:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # accounting hand-off
-    # ------------------------------------------------------------------ #
-    def pop_round_stats(self) -> RoundFaultStats | None:
-        """The most recent round's fault stats, consumed exactly once.
-
-        :meth:`~repro.mapreduce.cluster.SimulatedCluster.run_round` calls
-        this right after :meth:`run` to stamp the retry/speculation
-        numbers onto that round's
-        :class:`~repro.mapreduce.accounting.RoundStats`.  Thread-local:
-        it returns the stats of the last ``run`` made by the *calling*
-        thread, so concurrent callers sharing one wrapper each see their
-        own round.
-        """
-        stats = getattr(self._tls, "last_round", None)
-        self._tls.last_round = None
-        return stats
-
-    # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float]]:
+    ) -> tuple[list[Any], list[float], RoundFaultStats]:
         round_index = next(self._round_counter)
         stats = RoundFaultStats.for_tasks(len(tasks))
-        self._tls.last_round = stats
         if not tasks:
-            return [], []
+            return [], [], stats
         try:
-            if hasattr(self.inner, "submit"):
-                out = self._run_pooled(list(tasks), round_index, stats)
-            else:
-                out = self._run_sequential(list(tasks), round_index, stats)
+            results, times = self._run(list(tasks), round_index, stats)
         finally:
             with self._totals_lock:
                 self.totals.fold(stats)
@@ -342,7 +326,7 @@ class ResilientExecutor:
                     _M_WASTED.inc(stats.wasted_task_seconds)
                 if stats.faults_injected:
                     _M_FAULTS.inc(stats.faults_injected)
-        return out
+        return results, times, stats
 
     def _fault_for(self, round_index: int, task_index: int) -> Fault | None:
         if self.faults is None:
@@ -383,85 +367,7 @@ class ResilientExecutor:
         return error
 
     # ------------------------------------------------------------------ #
-    # sequential path (no futures, no concurrency)
-    # ------------------------------------------------------------------ #
-    def _run_sequential(
-        self, tasks: list, round_index: int, stats: RoundFaultStats
-    ) -> tuple[list[Any], list[float]]:
-        """Inline execution with the same policy semantics, minus races.
-
-        Timeouts cannot preempt an inline attempt; an attempt whose
-        wall-clock *exceeded* the budget is discarded after the fact and
-        retried, so the timeout contract (an over-budget attempt's result
-        never counts) holds on every backend.  ``duplicate`` faults run
-        the clone back-to-back and discard its result — the dedup path,
-        serialised.
-        """
-        policy = self.policy
-        tracer = _trace.current_tracer()
-        results: list[Any] = []
-        times: list[float] = []
-        for idx, task in enumerate(tasks):
-            fault = self._fault_for(round_index, idx)
-            failures = 0
-            attempt = 0
-            while True:
-                call = self._wrapped(task, fault, attempt, stats)
-                started = time.perf_counter()
-                try:
-                    value = call()
-                    seconds = time.perf_counter() - started
-                    error = None
-                except Exception as exc:  # noqa: BLE001 - retried or re-raised
-                    seconds = time.perf_counter() - started
-                    error = exc
-                if error is None and (
-                    policy.task_timeout is None or seconds <= policy.task_timeout
-                ):
-                    break  # success
-                if error is None:
-                    error = TimeoutError(
-                        f"attempt took {seconds:.4g}s, over the per-task "
-                        f"timeout of {policy.task_timeout:.4g}s"
-                    )
-                failures += 1
-                stats.wasted_task_seconds += seconds
-                stats.per_task_wasted_seconds[idx] += seconds
-                _abandoned_span(
-                    tracer, idx, attempt, started, seconds,
-                    type(error).__name__, speculative=False,
-                )
-                if failures > policy.max_retries:
-                    raise self._exhausted(idx, attempt + 1, error) from error
-                stats.retries += 1
-                stats.per_task_retries[idx] += 1
-                delay = policy.retry_delay(failures - 1)
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-
-            if fault is not None and fault.kind == "duplicate" and attempt == 0:
-                # The duplicate's clone, serialised: runs after the
-                # primary, loses the dedup race by construction.
-                stats.speculative_launches += 1
-                clone_start = time.perf_counter()
-                try:
-                    task()
-                except Exception:  # noqa: BLE001 - clone results are discarded
-                    pass
-                waste = time.perf_counter() - clone_start
-                stats.wasted_task_seconds += waste
-                stats.per_task_wasted_seconds[idx] += waste
-                _abandoned_span(
-                    tracer, idx, attempt + 1, clone_start, waste,
-                    "duplicate-clone", speculative=True,
-                )
-            results.append(value)
-            times.append(seconds)
-        return results, times
-
-    # ------------------------------------------------------------------ #
-    # pooled path (futures: real timeouts, real speculation)
+    # the futures loop
     # ------------------------------------------------------------------ #
     def _submit(self, call: Callable):
         """Submit through the inner pool, recovering once from a corpse."""
@@ -472,9 +378,14 @@ class ResilientExecutor:
             _M_POOL_RESTARTS.inc()
             return self.inner.submit(call)
 
-    def _run_pooled(
+    def _run(
         self, tasks: list, round_index: int, stats: RoundFaultStats
     ) -> tuple[list[Any], list[float]]:
+        """Dispatch every task, then react to attempts as they complete.
+
+        Each ``wait`` batch is handled in (task, attempt) order, so the
+        round's outcome does not depend on set iteration order.
+        """
         policy = self.policy
         tracer = _trace.current_tracer()
         n = len(tasks)
@@ -483,20 +394,28 @@ class ResilientExecutor:
         resolved = [False] * n
         faults = [self._fault_for(round_index, i) for i in range(n)]
         attempts_launched = [0] * n
-        failures = [0] * n
         clones = [0] * n
         inflight: dict[Any, _Attempt] = {}
         inflight_count = [0] * n
         unresolved = n
+        # When each attempt's future completed: a failed attempt is
+        # charged dispatch-to-completion, not dispatch-to-handling (an
+        # inline attempt completes long before its batch is handled).
+        finished: dict[Any, float] = {}
+
+        def stamp(future) -> None:
+            finished[future] = time.perf_counter()
 
         def launch(idx: int, speculative: bool = False) -> None:
             attempt = attempts_launched[idx]
             attempts_launched[idx] += 1
             call = self._wrapped(tasks[idx], faults[idx], attempt, stats)
+            # Stamped before submit: an inline backend runs the attempt
+            # inside the call.
+            started = time.perf_counter()
             future = self._submit(call)
-            inflight[future] = _Attempt(
-                idx, attempt, time.perf_counter(), speculative
-            )
+            future.add_done_callback(stamp)
+            inflight[future] = _Attempt(idx, attempt, started, speculative)
             inflight_count[idx] += 1
 
         def abandon_all() -> None:
@@ -509,7 +428,11 @@ class ResilientExecutor:
             stats.per_task_wasted_seconds[idx] += seconds
 
         def attempt_failed(att: _Attempt, seconds: float, exc: BaseException) -> None:
-            """One attempt is gone; retry, defer to a live clone, or give up."""
+            """One attempt is gone; retry, defer to a live clone, or give up.
+
+            Only a task left with no attempt in flight spends its retry
+            budget, so a failed speculative copy never costs a retry.
+            """
             idx = att.index
             waste(idx, seconds)
             _abandoned_span(
@@ -518,15 +441,15 @@ class ResilientExecutor:
             )
             if resolved[idx]:
                 return  # a clone already won; this loser just cost time
-            failures[idx] += 1
             if inflight_count[idx] > 0:
                 return  # another attempt is still running; let it race
-            if failures[idx] > policy.max_retries:
+            retries = stats.per_task_retries[idx]
+            if retries >= policy.max_retries:
                 abandon_all()
-                raise self._exhausted(idx, attempts_launched[idx], exc) from exc
+                raise self._exhausted(idx, retries + 1, exc) from exc
             stats.retries += 1
             stats.per_task_retries[idx] += 1
-            delay = policy.retry_delay(failures[idx] - 1)
+            delay = policy.retry_delay(retries)
             if delay > 0:
                 time.sleep(delay)
             launch(idx)
@@ -546,17 +469,17 @@ class ResilientExecutor:
                 return_when=FIRST_COMPLETED,
             )
             broken: list[tuple[_Attempt, BaseException]] = []
-            for future in done:
+            for future in sorted(done, key=lambda f: inflight[f][:2]):
                 att = inflight.pop(future)
                 inflight_count[att.index] -= 1
-                now = time.perf_counter()
                 try:
                     value, seconds = future.result()
                 except BrokenExecutor as exc:
                     broken.append((att, exc))
                     continue
                 except Exception as exc:  # noqa: BLE001 - policy decides
-                    attempt_failed(att, now - att.started, exc)
+                    ended = finished.get(future, time.perf_counter())
+                    attempt_failed(att, ended - att.started, exc)
                     continue
                 idx = att.index
                 if resolved[idx]:
@@ -570,8 +493,8 @@ class ResilientExecutor:
                     and seconds > policy.task_timeout
                 ):
                     # Completed, but over budget — the timeout contract
-                    # says its result must not count (matches the
-                    # sequential path, where preemption is impossible).
+                    # says its result must not count (the only check an
+                    # inline attempt gets: it cannot be preempted).
                     attempt_failed(
                         att,
                         seconds,
@@ -595,9 +518,8 @@ class ResilientExecutor:
                 # fresh one) and route every casualty through the normal
                 # failure path — retries re-dispatch, exhausted budgets
                 # raise.
-                if hasattr(self.inner, "close"):
-                    self.inner.close()
-                    _M_POOL_RESTARTS.inc()
+                self.inner.close()
+                _M_POOL_RESTARTS.inc()
                 casualties = list(inflight.items())
                 inflight.clear()
                 for _, att in casualties:
@@ -621,9 +543,14 @@ class ResilientExecutor:
             # are never killed mid-task); a still-running attempt keeps
             # its worker busy until its (finite) work ends, which is why
             # retries dispatch immediately instead of waiting for it.
+            # Completed attempts are left to the next batch, which
+            # judges them by their own measured seconds.
             if policy.task_timeout is not None:
                 for future, att in list(inflight.items()):
-                    if now - att.started > policy.task_timeout:
+                    if (
+                        now - att.started > policy.task_timeout
+                        and not future.done()
+                    ):
                         future.cancel()
                         del inflight[future]
                         inflight_count[att.index] -= 1
@@ -652,6 +579,7 @@ class ResilientExecutor:
                         and inflight_count[idx] == 1
                         and clones[idx] < policy.max_clones
                         and now - att.started > policy.speculate_after
+                        and not future.done()
                     ):
                         stats.speculative_launches += 1
                         clones[idx] += 1

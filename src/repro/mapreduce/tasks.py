@@ -47,6 +47,7 @@ from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.errors import InvalidParameterError
+from repro.mapreduce.executor import Executor
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -226,7 +227,7 @@ def bind_round(
     label: str,
     specs: Sequence[TaskSpec],
     *,
-    executor: Any = None,
+    executor: Executor,
     cat: str = "task",
 ) -> tuple[list[Callable[[], Any]], Callable | None]:
     """Validate the contract and return executor-ready callables.
@@ -260,9 +261,7 @@ def bind_round(
     if tracer is None:
         return list(specs), None
     sink = None
-    if tracer.on_span is not None and not getattr(
-        executor, "crosses_process_boundary", False
-    ):
+    if tracer.on_span is not None and not executor.crosses_process_boundary:
         sink = tracer.on_span
     calls = [
         _trace.wrap_task(

@@ -221,7 +221,7 @@ class ServeConfig:
             speculate_after=self.speculate_after,
         )
 
-    def make_executor(self):
+    def make_executor(self) -> ResilientExecutor:
         if self.backend == "sequential":
             inner = SequentialExecutor()
         elif self.backend == "thread":
@@ -313,8 +313,7 @@ class BatchScheduler:
         # turn the process-wide registry on for its lifetime.
         _metrics.REGISTRY.enable()
         self._started = time.monotonic()
-        if hasattr(self._executor, "open"):
-            self._executor.open()
+        self._executor.open()
         self._batcher = self._loop.create_task(
             self._run(), name="repro-serve-batcher"
         )
@@ -339,8 +338,7 @@ class BatchScheduler:
         for task in list(self._group_tasks):
             await task
         self._dispatch_pool.shutdown(wait=True)
-        if hasattr(self._executor, "close"):
-            self._executor.close()
+        self._executor.close()
 
     def next_id(self) -> str:
         """A server-assigned request id (used when the client sent none)."""
@@ -612,13 +610,12 @@ class BatchScheduler:
 
         The schema is **stable for scrapers**: every key below is present
         in every response — ``cache`` is ``{}`` when no cache is
-        configured, and the fault-tolerance counters are ``0`` even if
-        the executor were ever not resilient — so monitoring needs no
-        existence checks.
+        configured — so monitoring needs no existence checks.
         """
         from repro import __version__
 
-        out = {
+        totals = self._executor.totals
+        return {
             "server_version": __version__,
             "uptime_seconds": time.monotonic() - self._started,
             "backend": self.config.backend,
@@ -633,17 +630,11 @@ class BatchScheduler:
             "isolation_splits": self.isolation_splits,
             "pending": self._pending,
             "draining": self._closed,
-            "retries": 0,
-            "speculative_wins": 0,
-            "wasted_task_seconds": 0.0,
+            "retries": totals.retries,
+            "speculative_wins": totals.speculative_wins,
+            "wasted_task_seconds": totals.wasted_task_seconds,
             "cache": self.cache.stats() if self.cache is not None else {},
         }
-        if isinstance(self._executor, ResilientExecutor):
-            totals = self._executor.totals
-            out["retries"] = totals.retries
-            out["speculative_wins"] = totals.speculative_wins
-            out["wasted_task_seconds"] = totals.wasted_task_seconds
-        return out
 
     def observe_scrape(self) -> None:
         """Refresh the snapshot gauges from :meth:`stats`.

@@ -242,7 +242,7 @@ def solve(
             calls, sink = bind_round(
                 f"{spec.name}.solo", [solo], executor=solo_resilient
             )
-            (payload,), _ = solo_resilient.run(calls)
+            (payload,), _, _ = solo_resilient.run(calls)
             # Commit point: only the winning attempt's payload survives
             # the resilient dedup, so its accounting alone folds.
             (payload,) = commit([payload], [solo], sink=sink)
@@ -556,13 +556,8 @@ def solve_many(
         ]
         calls, sink = bind_round("solve_many", specs, executor=backend)
         with _trace.span("solve_many", cat="solve", runs=len(calls)):
-            outputs, times = backend.run(calls)
+            outputs, times, fault_stats = backend.run(calls)
     outputs = commit(outputs, specs, sink=sink)
-    fault_stats = (
-        backend.pop_round_stats()
-        if isinstance(backend, ResilientExecutor)
-        else None
-    )
 
     emit = _metrics.REGISTRY.enabled
     run_summaries: dict[BatchKey, BatchSummary] = {}

@@ -302,7 +302,7 @@ def shared_space(space, executor) -> Iterator:
     handle = None
     out = space
     if (
-        getattr(executor, "crosses_process_boundary", False)
+        executor.crosses_process_boundary
         and _publishable(space)
         and getattr(space, "_shared", None) is None
     ):

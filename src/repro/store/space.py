@@ -480,7 +480,7 @@ def _bind_views_eagerly(space: MetricSpace, executor) -> bool:
     attached block, keeping even the shard-row copies off the driver.
     """
     return (
-        getattr(executor, "crosses_process_boundary", False)
+        executor.crosses_process_boundary
         and not isinstance(space, ChunkedMetricSpace)
         and getattr(space, "_shared", None) is None
     )

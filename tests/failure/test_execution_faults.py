@@ -9,7 +9,9 @@ unabsorbable fault surfaces as a structured ``TaskFailedError`` in
 bounded time instead of a hang or a half-finished round.
 """
 
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
@@ -39,6 +41,11 @@ def square(i: int) -> int:
     return i * i
 
 
+def slow_square(i: int, seconds: float) -> int:
+    time.sleep(seconds)
+    return i * i
+
+
 def make_tasks(n: int = 4):
     return [partial(square, i) for i in range(n)]
 
@@ -56,10 +63,10 @@ def run_resilient(backend_name, faults, policy=None, n_tasks=4, rounds=1):
         make_backend(backend_name), policy or FaultPolicy(), faults
     ) as executor:
         for _ in range(rounds):
-            values, times = executor.run(make_tasks(n_tasks))
+            values, times, faults_seen = executor.run(make_tasks(n_tasks))
             assert len(values) == len(times) == n_tasks
             results.append(values)
-            stats.append(executor.pop_round_stats())
+            stats.append(faults_seen)
         totals = executor.totals
     return results, stats, totals
 
@@ -75,12 +82,20 @@ class TestRetries:
 
     def test_dropped_result_is_not_leaked(self, backend_name):
         # "drop" runs the task then discards the result: the retry must
-        # supply the answer and the lost attempt must count as waste.
+        # supply the answer and the lost attempt must count as waste —
+        # at least the 0.05 s the dropped task slept, on every backend
+        # (an inline attempt stamped after it ran would be charged ~0 s).
         faults = FaultSchedule({(0, 2): Fault("drop")})
-        (values,), (stats,), _ = run_resilient(backend_name, faults)
+        tasks = make_tasks()
+        tasks[2] = partial(slow_square, 2, 0.05)
+        with ResilientExecutor(
+            make_backend(backend_name), FaultPolicy(), faults
+        ) as executor:
+            values, _, stats = executor.run(tasks)
         assert values == [0, 1, 4, 9]
         assert stats.retries == 1
-        assert stats.wasted_task_seconds >= 0.0
+        assert stats.wasted_task_seconds >= 0.05
+        assert stats.per_task_wasted_seconds[2] >= 0.05
 
     def test_every_task_crashing_once_still_completes(self, backend_name):
         faults = FaultSchedule({(None, None): Fault("crash")})
@@ -125,9 +140,8 @@ class TestTimeouts:
             make_backend(backend_name), policy, faults
         ) as executor:
             started = time.perf_counter()
-            values, _ = executor.run(make_tasks())
+            values, _, stats = executor.run(make_tasks())
             elapsed = time.perf_counter() - started
-            stats = executor.pop_round_stats()
             # Timed inside the context: closing a pool waits for the
             # abandoned attempt's worker, and that wait is not latency
             # the round's caller sees.
@@ -159,6 +173,11 @@ class TestSpeculation:
         (values,), (stats,), _ = run_resilient(backend_name, faults)
         assert values == [0, 1, 4, 9], "dedup must keep exactly one result"
         assert stats.speculative_launches >= 1
+        if backend_name == "sequential":
+            # The clone completes at submit, after its primary, and each
+            # batch is handled in (task, attempt) order: it always loses.
+            assert stats.speculative_wins == 0
+            assert stats.per_task_wasted_seconds[3] > 0.0
 
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_speculative_clone_beats_straggler(self, pool):
@@ -168,9 +187,8 @@ class TestSpeculation:
             make_backend(pool), policy, faults
         ) as executor:
             started = time.perf_counter()
-            values, _ = executor.run(make_tasks(2))
+            values, _, stats = executor.run(make_tasks(2))
             elapsed = time.perf_counter() - started
-            stats = executor.pop_round_stats()
         assert values == [0, 1]
         assert stats.speculative_launches >= 1
         assert stats.speculative_wins >= 1
@@ -197,6 +215,54 @@ class TestWorkerDeath:
         (values,), (stats,), _ = run_resilient("sequential", faults, n_tasks=2)
         assert values == [0, 1]
         assert stats.retries == 1
+
+
+class TestConcurrentCallers:
+    def test_each_caller_gets_its_own_round_stats(self):
+        # The serve scheduler drives one wrapper from several dispatch
+        # threads: every run must hand back its own round's stats, and
+        # the stats handed back must add up to the wrapper's totals.
+        faults = RandomFaults(
+            seed=3, rate=0.5, kinds=("crash", "delay", "drop", "duplicate")
+        )
+        executor = ResilientExecutor(
+            ThreadPoolExecutorBackend(max_workers=2), FaultPolicy(), faults
+        )
+
+        def caller(n_tasks: int) -> list:
+            returned = []
+            for _ in range(4):
+                values, _, stats = executor.run(make_tasks(n_tasks))
+                assert values == [i * i for i in range(n_tasks)]
+                assert len(stats.per_task_retries) == n_tasks
+                assert len(stats.per_task_speculative_wins) == n_tasks
+                assert len(stats.per_task_wasted_seconds) == n_tasks
+                assert sum(stats.per_task_retries) == stats.retries
+                returned.append(stats)
+            return returned
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers' bookkeeping
+        try:
+            with executor, ThreadPoolExecutor(max_workers=4) as callers:
+                returned = [
+                    stats
+                    for per_caller in callers.map(caller, (1, 3, 5, 7), timeout=60)
+                    for stats in per_caller
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(returned) == 16
+        totals = executor.totals
+        assert totals.retries == sum(s.retries for s in returned) > 0
+        assert totals.speculative_launches == sum(
+            s.speculative_launches for s in returned
+        )
+        assert totals.speculative_wins == sum(s.speculative_wins for s in returned)
+        assert totals.faults_injected == sum(s.faults_injected for s in returned)
+        assert totals.wasted_task_seconds == pytest.approx(
+            sum(s.wasted_task_seconds for s in returned)
+        )
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ workspace kernels and the batch roll-up.
 Contracts under test (docs/architecture.md, "Execution engine"):
 
 * pool backends spawn their workers once and reuse them across ``run``
-  calls (worker-PID stability) unless ``persistent=False``;
+  calls (worker-PID stability);
 * the context manager closes the pool on *every* exit path, and a closed
   backend transparently re-opens;
 * per-task private counters (lock-free ``TaskCounter``) keep totals
@@ -57,25 +57,18 @@ class TestPoolLifecycle:
         """The tentpole claim: one spawn per job, not per round.  Three
         rounds' worth of tasks on one backend must see at most
         ``max_workers`` distinct worker PIDs in total."""
-        with ProcessPoolExecutorBackend(max_workers=2, chunksize=1) as ex:
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
             pids = set()
             for _ in range(3):
-                results, _ = ex.run([partial(_sleep_pid, 0.02)] * 4)
+                results, _, _ = ex.run([partial(_sleep_pid, 0.02)] * 4)
                 pids.update(results)
         assert 1 <= len(pids) <= 2, pids
-
-    def test_nonpersistent_respawns_per_run(self):
-        ex = ProcessPoolExecutorBackend(max_workers=1, persistent=False)
-        (first,), _ = ex.run([os.getpid])
-        (second,), _ = ex.run([os.getpid])
-        assert first != second  # a fresh pool per run means fresh workers
-        assert not ex.is_open
 
     def test_thread_workers_stable_across_runs(self):
         with ThreadPoolExecutorBackend(max_workers=2) as ex:
             idents = set()
             for _ in range(3):
-                results, _ = ex.run([_ident] * 4)
+                results, _, _ = ex.run([_ident] * 4)
                 idents.update(results)
         assert 1 <= len(idents) <= 2, idents
 
@@ -88,7 +81,7 @@ class TestPoolLifecycle:
         ex.close()
         ex.close()
         assert not ex.is_open
-        results, _ = ex.run([_ident])  # transparently re-opens
+        results, _, _ = ex.run([_ident])  # transparently re-opens
         assert ex.is_open and len(results) == 1
         ex.close()
 
@@ -115,31 +108,29 @@ class TestPoolLifecycle:
             assert inner is ex
         ex.open()
         ex.close()
-        assert ex.run([]) == ([], [])
+        assert ex.run([]) == ([], [], None)
 
     def test_backend_pickles_without_its_pool(self):
         import pickle
 
-        ex = ProcessPoolExecutorBackend(max_workers=2, chunksize=3)
+        ex = ProcessPoolExecutorBackend(max_workers=2)
         ex.open()
         try:
             clone = pickle.loads(pickle.dumps(ex))
         finally:
             ex.close()
         assert not clone.is_open
-        assert clone.max_workers == 2 and clone.chunksize == 3
+        assert clone.max_workers == 2
 
-    def test_chunksize_heuristic_and_override(self):
+    def test_chunksize_heuristic(self):
         ex = ProcessPoolExecutorBackend(max_workers=4)
-        assert ex._resolve_chunksize(3) == 1
-        assert ex._resolve_chunksize(160) == 10
-        assert ProcessPoolExecutorBackend(chunksize=7)._resolve_chunksize(1000) == 7
-        with pytest.raises(ValueError):
-            ProcessPoolExecutorBackend(chunksize=0)
+        assert ex._chunksize(3) == 1
+        assert ex._chunksize(160) == 10
 
     def test_chunked_submission_preserves_task_order(self):
-        with ProcessPoolExecutorBackend(max_workers=2, chunksize=5) as ex:
-            results, times = ex.run([partial(int, i) for i in range(23)])
+        # 23 tasks on 2 workers go out in chunks of 3, the last one short.
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
+            results, times, _ = ex.run([partial(int, i) for i in range(23)])
         assert results == list(range(23))
         assert len(times) == 23 and all(t >= 0 for t in times)
 
@@ -343,7 +334,7 @@ class TestWorkspace:
         def task():
             return kernels.min_dists(x, y)
 
-        results, _ = ThreadPoolExecutorBackend(max_workers=8).run([task] * 32)
+        results, _, _ = ThreadPoolExecutorBackend(max_workers=8).run([task] * 32)
         for got in results:
             assert np.array_equal(got, expected)
 

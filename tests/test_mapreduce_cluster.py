@@ -132,19 +132,19 @@ class TestExecutors:
         assert result == 42 and seconds >= 0.0
 
     def test_sequential_order_and_times(self):
-        results, times = SequentialExecutor().run([lambda: "a", lambda: "b"])
-        assert results == ["a", "b"]
+        results, times, faults = SequentialExecutor().run([lambda: "a", lambda: "b"])
+        assert results == ["a", "b"] and faults is None
         assert len(times) == 2 and all(t >= 0 for t in times)
 
     def test_sequential_empty(self):
-        assert SequentialExecutor().run([]) == ([], [])
+        assert SequentialExecutor().run([]) == ([], [], None)
 
     def test_process_pool_empty(self):
-        assert ProcessPoolExecutorBackend().run([]) == ([], [])
+        assert ProcessPoolExecutorBackend().run([]) == ([], [], None)
 
     def test_process_pool_runs_picklable_tasks(self):
         backend = ProcessPoolExecutorBackend(max_workers=2)
-        results, times = backend.run([_picklable_task_3, _picklable_task_4])
+        results, times, _ = backend.run([_picklable_task_3, _picklable_task_4])
         assert results == [9, 16]
         assert len(times) == 2
 
