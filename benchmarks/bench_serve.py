@@ -1,8 +1,7 @@
 """Serving-layer load bench — latency/throughput trajectory of repro.serve.
 
 Boots a real :class:`~repro.serve.server.ServerHandle` (TCP, thread-pool
-backend, distance cache on) and drives it the way the ISSUE frames the
-workload: **thousands of small concurrent solve requests plus a few large
+backend) and drives it with the serving workload: **thousands of small concurrent solve requests plus a few large
 ones**, from concurrent client threads.  Writes ``BENCH_6.json`` at the
 repo root: request counts, wall time, throughput, p50/p99 latency per
 phase, plus the server's own accounting counters.
@@ -13,12 +12,10 @@ Contracts asserted (CI-enforced):
   sent got exactly one response, and the server's counters balance:
   ``received == answered + rejected + failed + abandoned`` with nothing
   failed or silently lost;
-* **coalescing works** — the small-burst phase coalesces requests into
-  multi-run batches and the repeated space scores
-  :class:`~repro.store.cache.DistanceCache` hits;
-* **large solves stay bit-exact** — the big requests exceed the cache's
-  ``max_points``, so their served results must equal the direct
-  in-process ``repro.solve()`` bits.
+* **coalescing works** — the small-burst phase coalesces requests over
+  the repeated space into multi-run batches;
+* **large solves stay bit-exact** — the big requests' served results
+  must equal the direct in-process ``repro.solve()`` bits.
 
 Sizes are capped by ``REPRO_BENCH_MAX_N`` for the CI smoke.
 """
@@ -39,8 +36,8 @@ from repro.serve import ServeConfig, ServerHandle
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_6.json"
 
-N_SMALL = 256  # points per small request's space (cacheable)
-N_LARGE = 20_000  # points per large request (beyond the cache cap)
+N_SMALL = 256  # points per small request's space
+N_LARGE = 20_000  # points per large request
 K_SMALL = 8
 K_LARGE = 25
 N_REQUESTS = 2_000  # small solves in the burst
@@ -76,7 +73,6 @@ def test_serve_load(artifact_dir):
         max_inflight=4,
         max_points=max(N_LARGE, N_SMALL),
         batch_window=0.002,
-        cache_points=N_SMALL,  # small spaces cached, large ones bit-exact
     )
 
     records: list[dict] = []
@@ -144,8 +140,8 @@ def test_serve_load(artifact_dir):
         )
 
         # ------------------------------------------------------------ #
-        # phase 2: a few large solves — above the cache cap, so the
-        # parity contract applies bit-for-bit.
+        # phase 2: a few large solves, checked bit-for-bit against
+        # direct in-process solves.
         # ------------------------------------------------------------ #
         large_latencies: list[float] = []
         with handle.client() as client:
@@ -197,12 +193,9 @@ def test_serve_load(artifact_dir):
         + stats["failed"]
         + stats["abandoned"]
     )
-    # Coalescing + cache: the burst shares batches and the hot space's
-    # distance matrix (one miss, hits ever after).
+    # Coalescing: the burst over one hot space shares batches.
     assert stats["batches"] < total, "no coalescing happened at all"
     assert stats["coalesced_requests"] > 0
-    assert stats["cache"]["hits"] > 0
-    assert stats["cache"]["misses"] >= 1
 
     payload = {
         "bench": 6,
@@ -216,7 +209,6 @@ def test_serve_load(artifact_dir):
             "pool_size": config.pool_size,
             "max_inflight": config.max_inflight,
             "batch_window": config.batch_window,
-            "cache_points": config.cache_points,
         },
         "records": records,
         "server_stats": stats,

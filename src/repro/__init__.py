@@ -77,7 +77,6 @@ from repro.metric import EuclideanSpace, MetricSpace, MinkowskiSpace, Precompute
 from repro.store import (
     ArrayStream,
     ChunkedMetricSpace,
-    DistanceCache,
     GeneratorStream,
     MemmapStream,
     PointStream,
@@ -139,7 +138,6 @@ __all__ = [
     "MemmapStream",
     "GeneratorStream",
     "ChunkedMetricSpace",
-    "DistanceCache",
     "as_stream",
     "as_space",
     # substrate

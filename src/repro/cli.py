@@ -281,7 +281,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_inflight=args.max_inflight,
         max_points=args.max_points,
-        cache_points=args.cache_points,
         default_timeout=args.timeout,
     )
     if args.log_json:
@@ -296,7 +295,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         print(
             f"repro-kcenter serve: listening on {host}:{port} "
             f"(backend={config.backend}, pool={pool}, "
-            f"max_points={config.max_points}, cache_points={config.cache_points})",
+            f"max_points={config.max_points})",
             flush=True,
         )
         if server.metrics_address is not None:
@@ -548,11 +547,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="concurrent coalesced batches on the pool")
     serve_cmd.add_argument("--max-points", type=int, default=200_000,
                            help="largest admissible request (points)")
-    serve_cmd.add_argument(
-        "--cache-points", type=int, default=0,
-        help="enable the shared distance cache for spaces up to this many "
-             "points (0 = off, the bit-exact default)",
-    )
     serve_cmd.add_argument(
         "--timeout", type=float, default=None,
         help="default per-request deadline in seconds (requests may "

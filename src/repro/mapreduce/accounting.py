@@ -175,24 +175,16 @@ class BatchSummary:
     The two time notions mirror :class:`JobStats`: ``parallel_time`` is
     the slowest *run* in the batch (what a fully parallel fan-out would
     take), ``cpu_time`` the sum over runs (what the sequential backend
-    pays).  ``dist_evals`` totals every run's private counter — the
-    *logical* evaluation count, cache- and backend-invariant, so a
-    cached batch reports the same total as an uncached one while
-    ``cache_hits``/``cache_misses`` record the reuse that actually
-    happened.  The cache numbers *are* backend-dependent: the
-    :class:`~repro.store.cache.DistanceCache` is shared within the
-    driver process, so sequential/thread fan-outs report hits where
-    process-pool tasks, each unpickling a private snapshot, report
-    misses.  ``solver_rounds`` sums the MapReduce rounds of the runs
-    that report round stats (sequential solvers contribute zero).
+    pays).  ``dist_evals`` totals every run's private counter, so it is
+    identical on every backend.  ``solver_rounds`` sums the MapReduce
+    rounds of the runs that report round stats (sequential solvers
+    contribute zero).
     """
 
     runs: int = 0
     parallel_time: float = 0.0
     cpu_time: float = 0.0
     dist_evals: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     solver_rounds: int = 0
     #: Fault-tolerance accounting (see :class:`RoundStats`): task
     #: attempts re-dispatched after failures, tasks won by a speculative
@@ -213,8 +205,6 @@ class BatchSummary:
             "parallel_time": self.parallel_time,
             "cpu_time": self.cpu_time,
             "dist_evals": self.dist_evals,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "solver_rounds": self.solver_rounds,
             "retries": self.retries,
             "speculative_wins": self.speculative_wins,
@@ -258,8 +248,6 @@ class BatchSummary:
             total.parallel_time = max(total.parallel_time, part.parallel_time)
             total.cpu_time += part.cpu_time
             total.dist_evals += part.dist_evals
-            total.cache_hits += part.cache_hits
-            total.cache_misses += part.cache_misses
             total.solver_rounds += part.solver_rounds
             total.retries += part.retries
             total.speculative_wins += part.speculative_wins

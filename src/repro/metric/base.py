@@ -19,10 +19,8 @@ Two access patterns matter:
 from __future__ import annotations
 
 import abc
-import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -33,23 +31,7 @@ __all__ = [
     "TaskCounter",
     "MetricSpace",
     "as_index_array",
-    "content_fingerprint",
 ]
-
-
-def content_fingerprint(tag: str, blocks: Iterable[np.ndarray]) -> str:
-    """Digest-based space fingerprint: ``tag`` + the raw data bytes.
-
-    ``tag`` must encode everything besides the data that determines the
-    distances — metric family, metric parameters, shape, dtype — and
-    ``blocks`` must cover the defining array in canonical row-major,
-    row-partitioned order, so a chunked backing and a monolithic backing
-    of equal data produce equal fingerprints.
-    """
-    h = hashlib.blake2b(tag.encode("utf-8"), digest_size=16)
-    for block in blocks:
-        h.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
-    return f"{tag}:{h.hexdigest()}"
 
 
 @dataclass
@@ -68,16 +50,9 @@ class DistCounter:
     per-run batch counters) use the lock-free :class:`TaskCounter`
     subclass instead and pay one lock acquisition per *task*, when the
     driver folds their total into the shared counter.
-
-    ``cache_hits`` / ``cache_misses`` record whether a run's space was
-    served from a shared :class:`~repro.store.cache.DistanceCache` (a hit
-    reuses a precomputed matrix; ``evals`` still counts the *logical*
-    distance evaluations, so operation-count records are cache-invariant).
     """
 
     evals: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -95,20 +70,9 @@ class DistCounter:
         with self._lock:
             self.evals += int(n)
 
-    def count_cache(self, hit: bool) -> None:
-        """Record one distance-cache lookup (hit or miss), lock-guarded
-        like :meth:`add` so shared counters stay exact under threads."""
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-
     def reset(self) -> None:
         with self._lock:
             self.evals = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
 
 
 class TaskCounter(DistCounter):
@@ -138,16 +102,8 @@ class TaskCounter(DistCounter):
     def add(self, n: int) -> None:
         self.evals += int(n)
 
-    def count_cache(self, hit: bool) -> None:
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-
     def reset(self) -> None:
         self.evals = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
 
 def as_index_array(idx, n: int, name: str = "indices") -> np.ndarray:
@@ -202,26 +158,14 @@ class MetricSpace(abc.ABC):
     def fingerprint(self) -> str | None:
         """Content-based identity of this space, or ``None`` if unknowable.
 
-        Two spaces with equal fingerprints must produce bit-identical
-        distances, so derived artifacts (e.g. a cached distance matrix in
-        :class:`~repro.store.cache.DistanceCache`) can be shared between
-        separately-constructed instances.  Subclasses with access to their
-        defining data (coordinates, a distance matrix) override
-        :meth:`_compute_fingerprint` with a digest over metric parameters,
-        shape, dtype and data bytes; the base implementation returns
-        ``None``, telling consumers to fall back to object identity.
-
-        The digest is computed once per instance (a space's data is
-        immutable by contract), so repeated cache lookups stay O(1).
+        Two spaces with equal fingerprints produce bit-identical
+        distances, so the serve layer coalesces requests over
+        separately-constructed copies of one inline point set into one
+        batch.  The base implementation returns ``None``, telling
+        consumers to fall back to object identity;
+        :class:`~repro.metric.euclidean.EuclideanSpace` digests its
+        coordinates.
         """
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            fp = self._compute_fingerprint()
-            if fp is not None:
-                self._fingerprint = fp
-        return fp
-
-    def _compute_fingerprint(self) -> str | None:
         return None
 
     # ------------------------------------------------------------------ #

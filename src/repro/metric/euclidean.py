@@ -8,26 +8,16 @@ so each block distance is a single GEMM plus broadcasting.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.errors import MetricError
 from repro.metric import kernels
-from repro.metric.base import DistCounter, MetricSpace, content_fingerprint
+from repro.metric.base import DistCounter, MetricSpace
 from repro.utils.chunking import DEFAULT_BLOCK_BYTES, chunk_slices, resolve_chunk_size
 
-__all__ = ["EuclideanSpace", "kernels_fingerprint"]
-
-
-def kernels_fingerprint(shape, blocks) -> str:
-    """Fingerprint of a Euclidean-block-kernel space over float64 points.
-
-    Shared by every backing whose distances are bit-identical to
-    :class:`EuclideanSpace` over the same coordinates (in particular the
-    out-of-core :class:`~repro.store.space.ChunkedMetricSpace`), so equal
-    data fingerprints equally regardless of residency.
-    """
-    n, dim = shape
-    return content_fingerprint(f"points:{n}x{dim}", blocks)
+__all__ = ["EuclideanSpace"]
 
 
 class EuclideanSpace(MetricSpace):
@@ -77,12 +67,19 @@ class EuclideanSpace(MetricSpace):
         """Coordinate dimension of the space."""
         return self.points.shape[1]
 
-    def _compute_fingerprint(self) -> str:
-        # The "points" family: any space whose distances are the plain
-        # Euclidean block kernels over these float64 coordinates (the
-        # chunked out-of-core space shares the tag — same bits by its
-        # parity contract).
-        return kernels_fingerprint(self.points.shape, [self.points])
+    def fingerprint(self) -> str:
+        """Digest of the shape and the float64 coordinate bytes.
+
+        Computed once per instance: a space's data is immutable by
+        contract.
+        """
+        fp = getattr(self, "_fingerprint", None)
+        if fp is None:
+            tag = "points:{}x{}".format(*self.points.shape)
+            digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=16)
+            digest.update(self.points.tobytes())
+            fp = self._fingerprint = f"{tag}:{digest.hexdigest()}"
+        return fp
 
     # ------------------------------------------------------------------ #
     def _coords(self, idx: np.ndarray | None) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from repro.errors import MetricError
 from repro.metric import kernels
-from repro.metric.base import DistCounter, MetricSpace, content_fingerprint
+from repro.metric.base import DistCounter, MetricSpace
 from repro.utils.chunking import DEFAULT_BLOCK_BYTES, chunk_slices, resolve_chunk_size
 
 __all__ = ["MinkowskiSpace"]
@@ -64,14 +64,6 @@ class MinkowskiSpace(MetricSpace):
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def _compute_fingerprint(self) -> str:
-        # p is part of the metric identity; a p=2 Minkowski space is NOT
-        # interchangeable with EuclideanSpace (cdist vs GEMM differ in
-        # the last bits), so the tag keeps the families apart.
-        return content_fingerprint(
-            f"minkowski:p={self.p!r}:{self.n}x{self.dim}", [self.points]
-        )
 
     def _coords(self, idx: np.ndarray | None) -> np.ndarray:
         return self.points if idx is None else self.points[idx]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metric.base import DistCounter, MetricSpace, content_fingerprint
+from repro.metric.base import DistCounter, MetricSpace
 
 __all__ = ["PrecomputedSpace"]
 
@@ -45,9 +45,6 @@ class PrecomputedSpace(MetricSpace):
                 raise MetricError("distance matrix diagonal is not zero")
         super().__init__(d.shape[0], counter)
         self.matrix = d
-
-    def _compute_fingerprint(self) -> str:
-        return content_fingerprint(f"matrix:{self.n}", [self.matrix])
 
     def _rows(self, idx: np.ndarray | None) -> np.ndarray:
         return self.matrix if idx is None else self.matrix[idx]

@@ -15,10 +15,10 @@ Entry points:
   loop, for tests and benches;
 * :class:`ServeClient` — a plain blocking socket client.
 
-The contract that makes the layer trustworthy: with the distance cache
-off (the default config), every served result is **bit-identical** to
-the same ``repro.solve()`` call made directly in-process — same centers,
-same radius, same ``dist_evals`` — on every backend, under concurrency.
+The contract that makes the layer trustworthy: every served result is
+**bit-identical** to the same ``repro.solve()`` call made directly
+in-process — same centers, same radius, same ``dist_evals`` — on every
+backend, under concurrency.
 """
 
 from repro.serve.client import ServeClient, parse_hostport

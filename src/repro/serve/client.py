@@ -190,7 +190,7 @@ class ServeClient:
         return self.request({"op": "ping"})
 
     def stats(self) -> dict:
-        """The server's scheduler counters (admissions, batches, cache)."""
+        """The server's scheduler counters (admissions, batches, faults)."""
         return self.request({"op": "stats"})["stats"]
 
     def metrics(self) -> str:

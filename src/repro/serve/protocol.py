@@ -142,9 +142,7 @@ class SolveRequest:
     ``space_key`` is the coalescing key: requests sharing it run in one
     ``solve_many`` batch over one space object.  Inline point sets key on
     the space's content fingerprint (so two clients sending the same
-    rows coalesce — and, through the scheduler's
-    :class:`~repro.store.cache.DistanceCache`, share one distance
-    matrix); path inputs key on the resolved path.
+    rows coalesce into one batch); path inputs key on the resolved path.
     """
 
     id: str
@@ -339,7 +337,7 @@ def ok_response(
     """A success line: the result plus per-request accounting.
 
     ``summary`` is this run's private :class:`BatchSummary` (one run, its
-    exact dist_evals / cache hits / task seconds) — the wire is where its
+    exact dist_evals / retries / task seconds) — the wire is where its
     JSON form earns its keep.
     """
     return {

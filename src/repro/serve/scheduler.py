@@ -11,9 +11,6 @@ thin consumer of machinery that already exists:
   (content fingerprint for inline points, resolved path for on-disk
   data) become entries of one fan-out, each with its own ``k`` / seed /
   options and its own exact accounting (``BatchResults.run_summaries``);
-* repeated small spaces are deduped through a long-lived
-  :class:`~repro.store.cache.DistanceCache` (opt-in, byte-bounded), so a
-  burst of requests over one hot dataset pays its O(n^2) matrix once;
 * **admission control** caps outstanding requests (``max_queue``),
   concurrent batch dispatches (``max_inflight``) and request size
   (``max_points``) — over-limit submissions raise a structured
@@ -68,7 +65,6 @@ from repro.serve.protocol import (
     SolveRequest,
 )
 from repro.solvers.facade import BatchKey, solve_many
-from repro.store.cache import DistanceCache
 
 __all__ = ["ServeConfig", "BatchScheduler", "BACKENDS"]
 
@@ -152,13 +148,6 @@ class ServeConfig:
         Coalescing shape: after the first pending request, wait up to
         ``batch_window`` seconds for company, then dispatch at most
         ``max_batch`` requests grouped by space.
-    cache_points, cache_entries, cache_bytes:
-        The shared :class:`DistanceCache`.  ``cache_points=0`` (default)
-        disables it — the cache serves matrix-backed views whose
-        distances can differ from on-demand kernels in the last float
-        bit, so the default server config keeps strict bit-parity with
-        direct ``solve()`` calls; enable it for throughput on repeated
-        small spaces.
     default_timeout:
         Per-request deadline (seconds) when the request carries none.
     max_line_bytes:
@@ -189,9 +178,6 @@ class ServeConfig:
     max_points: int = 200_000
     max_batch: int = 64
     batch_window: float = 0.002
-    cache_points: int = 0
-    cache_entries: int = 8
-    cache_bytes: int | None = 512 * 1024 * 1024
     default_timeout: float | None = None
     max_line_bytes: int = 64 * 1024 * 1024
     fault_retries: int = 1
@@ -232,15 +218,6 @@ class ServeConfig:
             inner, self.make_fault_policy(), self.fault_injector
         )
 
-    def make_cache(self) -> DistanceCache | None:
-        if not self.cache_points:
-            return None
-        return DistanceCache(
-            max_points=self.cache_points,
-            max_entries=self.cache_entries,
-            max_bytes=self.cache_bytes,
-        )
-
 
 class _Pending:
     """One admitted request waiting for (or riding in) a batch."""
@@ -262,18 +239,17 @@ class _Pending:
 class BatchScheduler:
     """Coalesce admitted requests into ``solve_many`` batches on one pool.
 
-    Owns the warm executor, the (optional) distance cache, the pending
-    queue and the dispatch thread pool.  Must be created and driven from
-    inside a running asyncio event loop (:meth:`start`); submissions and
-    result delivery all happen on that loop, while the batches themselves
-    run on dispatch threads so the loop never blocks on a solve.
+    Owns the warm executor, the pending queue and the dispatch thread
+    pool.  Must be created and driven from inside a running asyncio
+    event loop (:meth:`start`); submissions and result delivery all
+    happen on that loop, while the batches themselves run on dispatch
+    threads so the loop never blocks on a solve.
     """
 
     def __init__(self, config: ServeConfig):
         self.config = config
         self._loop = asyncio.get_running_loop()
         self._executor = config.make_executor()
-        self.cache = config.make_cache()
         self._queue: list[_Pending] = []
         self._wakeup = asyncio.Event()
         self._inflight = asyncio.Semaphore(config.max_inflight)
@@ -577,7 +553,7 @@ class BatchScheduler:
         its own ``k``/seed/options, labelled by request id (ids are
         unique, so keys cannot collide); ``seeds=None`` selects the
         facade's entry-owned seeding mode.  The shared warm executor
-        fans the runs out; the shared cache dedupes repeated spaces.
+        fans the runs out.
 
         Contextvars do not follow work onto pool threads, so a traced
         request's tracer (and log correlation) is re-activated here,
@@ -594,7 +570,6 @@ class BatchScheduler:
                 entries,
                 seeds=None,
                 executor=self._executor,
-                cache=self.cache,
             )
 
         if tracer is None:
@@ -609,8 +584,7 @@ class BatchScheduler:
         """Counters for the ``stats`` op and the load bench.
 
         The schema is **stable for scrapers**: every key below is present
-        in every response — ``cache`` is ``{}`` when no cache is
-        configured — so monitoring needs no existence checks.
+        in every response, so monitoring needs no existence checks.
         """
         from repro import __version__
 
@@ -633,7 +607,6 @@ class BatchScheduler:
             "retries": totals.retries,
             "speculative_wins": totals.speculative_wins,
             "wasted_task_seconds": totals.wasted_task_seconds,
-            "cache": self.cache.stats() if self.cache is not None else {},
         }
 
     def observe_scrape(self) -> None:

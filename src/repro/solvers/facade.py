@@ -13,7 +13,7 @@ batch is deterministic regardless of executor (sequential vs process
 pool) and scheduling order.  The returned :class:`BatchResults` is a
 plain ``dict`` plus a ``summary`` roll-up
 (:class:`~repro.mapreduce.accounting.BatchSummary`: total distance
-evaluations, cache hits/misses, parallel vs cpu time across the batch).
+evaluations, parallel vs cpu time across the batch).
 Pool backends are persistent, so back-to-back batches on one executor
 reuse its workers; for process backends the input space's in-memory
 coordinates are additionally published once per batch to shared memory
@@ -29,10 +29,12 @@ gathers the coordinates) are coerced via :func:`repro.store.as_space`.
 ``solve`` additionally supports the algorithm-first calling form
 ``solve("stream", k, data="points.npy")`` and
 ``solve("mr_hs", k, data="shards/")``.
-:func:`solve_many` can thread a shared
-:class:`~repro.store.cache.DistanceCache` through a batch, so repeated
-solves of one small space reuse a single precomputed distance matrix
-with unchanged per-run records.
+
+Every run the facade dispatches as a task — each :func:`solve_many`
+entry, and the resilient :func:`solve` of a single-machine solver — goes
+through :func:`_run_one`, which returns a
+:class:`~repro.mapreduce.tasks.TaskOutput` that
+:func:`~repro.mapreduce.tasks.commit` folds like any reducer task's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.core.result import KCenterResult
 from repro.errors import InvalidParameterError
 from repro.mapreduce.accounting import BatchSummary
 from repro.mapreduce.executor import Executor, SequentialExecutor
-from repro.mapreduce.tasks import TaskSpec, bind_round, commit
+from repro.mapreduce.tasks import TaskOutput, TaskSpec, bind_round, commit
 from repro.mapreduce.faults import FaultInjector
 from repro.mapreduce.resilient import FaultPolicy, ResilientExecutor
 from repro.metric.base import DistCounter, MetricSpace
@@ -54,7 +56,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.solvers.config import SHARED_KNOBS, UNSET, SolveConfig
 from repro.solvers.registry import SolverSpec, get_solver
-from repro.store.cache import DistanceCache
 from repro.store.shm import shared_space
 from repro.store.space import SpaceLike, as_space
 
@@ -236,6 +237,7 @@ def solve(
             solo = TaskSpec(
                 _run_one,
                 args=(space, config.k, spec.name, kwargs),
+                counting="output",
                 name=f"{spec.name}.solo",
                 trace_args=(("algorithm", spec.name),),
             )
@@ -243,16 +245,13 @@ def solve(
                 f"{spec.name}.solo", [solo], executor=solo_resilient
             )
             (payload,), _, _ = solo_resilient.run(calls)
-            # Commit point: only the winning attempt's payload survives
-            # the resilient dedup, so its accounting alone folds.
-            (payload,) = commit([payload], [solo], sink=sink)
-            result, evals, hits, misses = payload
-            # Fold the winning attempt's accounting into the caller's
+            # Commit point: only the winning attempt survives the
+            # resilient dedup, and its evaluations fold into the caller's
             # counter — the side effect a bare `spec.fn(space, ...)` call
             # would have had.
-            space.counter.add(evals)
-            space.counter.cache_hits += hits
-            space.counter.cache_misses += misses
+            (result,) = commit(
+                [payload], [solo], counter=space.counter, sink=sink
+            )
     if _metrics.REGISTRY.enabled:
         _M_SOLVES.labels(algorithm=spec.name).inc()
         _M_SOLVE_SECONDS.labels(algorithm=spec.name).observe(
@@ -271,7 +270,7 @@ class BatchResults(dict):
     Behaves exactly like the plain dict :func:`solve_many` used to
     return; the extra :attr:`summary` is the merged
     :class:`~repro.mapreduce.accounting.BatchSummary` of the whole batch
-    (total dist_evals, cache hits/misses, parallel vs cpu time), and
+    (total dist_evals, parallel vs cpu time), and
     :attr:`run_summaries` keeps the same accounting *per run* — a
     single-run :class:`BatchSummary` under each :class:`BatchKey`, so
     consumers that answer for individual requests (the
@@ -292,28 +291,7 @@ class BatchResults(dict):
         self.run_summaries: dict[BatchKey, BatchSummary] = run_summaries or {}
 
 
-class _RunOutput(NamedTuple):
-    """One batch task's result plus its run-private accounting.
-
-    The counter a run evaluates distances into lives wherever the task
-    ran — possibly a worker process — so its totals travel back in the
-    task's return value, exactly like the reducer tasks'
-    :class:`~repro.mapreduce.tasks.TaskOutput`.
-    """
-
-    result: KCenterResult
-    dist_evals: int
-    cache_hits: int
-    cache_misses: int
-
-
-def _run_one(
-    space: MetricSpace,
-    k: int,
-    name: str,
-    kwargs: dict,
-    cache: DistanceCache | None = None,
-) -> _RunOutput:
+def _run_one(space: MetricSpace, k: int, name: str, kwargs: dict) -> TaskOutput:
     """Top-level runner so batch tasks stay picklable for process pools.
 
     The run gets a shallow copy of the space with a *private*
@@ -324,25 +302,14 @@ def _run_one(
     round), so per-run stats would depend on the executor's scheduling.
     With private counters, every field of every result — including the
     operation counts — is identical on sequential, thread and process
-    backends.
-
-    With a :class:`~repro.store.cache.DistanceCache`, runs over a
-    cacheable (small) space are instead served a
-    :class:`~repro.metric.precomputed.PrecomputedSpace` view of one
-    shared distance matrix; the view charges the same evaluation tariff
-    to its private counter, so records stay cache-invariant while the
-    O(n^2) kernel work is paid once per batch, not once per run.
+    backends.  The counter lives wherever the task ran — possibly a
+    worker process — so its total travels back in the
+    :class:`~repro.mapreduce.tasks.TaskOutput`, like a reducer task's.
     """
-    counter = DistCounter()
-    if cache is not None and cache.cacheable(space):
-        task_space = cache.space_for(space, counter)
-    else:
-        task_space = copy.copy(space)
-        task_space.counter = counter
+    task_space = copy.copy(space)
+    task_space.counter = DistCounter()
     result = get_solver(name).fn(task_space, k, **kwargs)
-    return _RunOutput(
-        result, counter.evals, counter.cache_hits, counter.cache_misses
-    )
+    return TaskOutput(result, task_space.counter.evals)
 
 
 def _normalise_algorithms(
@@ -380,7 +347,6 @@ def solve_many(
     seeds: Sequence[Any] | None = (None,),
     *,
     executor: Executor | None = None,
-    cache: DistanceCache | None = None,
     chunk_size: int | None = None,
     m: Any = UNSET,
     capacity: Any = UNSET,
@@ -426,18 +392,6 @@ def solve_many(
         forwarded to the individual solvers — nesting a process pool
         inside each run would oversubscribe the machine; a per-entry
         ``executor`` (see below) overrides this for one entry's runs.
-    cache:
-        Optional shared :class:`~repro.store.cache.DistanceCache`.  Runs
-        over a cacheable (small) space reuse one precomputed distance
-        matrix instead of re-deriving distances per run; results and
-        per-run accounting are unchanged (see the cache's module docs).
-        Pass the same instance across several ``solve_many`` calls on
-        the same space object to share the matrix batch-to-batch.  The
-        cache lives in the driver process: sequential and thread
-        fan-outs share it, but process-pool tasks unpickle a private
-        snapshot each — no cross-run reuse, and the batch summary's
-        ``cache_hits``/``cache_misses`` honestly record that.  Results
-        are identical either way; only the reuse is.
     chunk_size:
         Chunk rows when ``space`` is a file path, stream or array to be
         solved out-of-core (see :func:`solve`).
@@ -548,7 +502,8 @@ def solve_many(
         specs = [
             TaskSpec(
                 _run_one,
-                args=(task_space, *args, cache),
+                args=(task_space, *args),
+                counting="output",
                 name=str(key),
                 trace_args=(("algorithm", names[i]),),
             )
@@ -557,23 +512,22 @@ def solve_many(
         calls, sink = bind_round("solve_many", specs, executor=backend)
         with _trace.span("solve_many", cat="solve", runs=len(calls)):
             outputs, times, fault_stats = backend.run(calls)
-    outputs = commit(outputs, specs, sink=sink)
+    evals = [out.dist_evals for out in outputs]
+    results = commit(outputs, specs, sink=sink)
 
     emit = _metrics.REGISTRY.enabled
     run_summaries: dict[BatchKey, BatchSummary] = {}
-    for i, (key, out, seconds) in enumerate(zip(keys, outputs, times)):
-        stats = out.result.stats
+    for i, (key, result, seconds) in enumerate(zip(keys, results, times)):
+        stats = result.stats
         if emit:
             _M_SOLVES.labels(algorithm=names[i]).inc()
             _M_SOLVE_SECONDS.labels(algorithm=names[i]).observe(seconds)
-            _M_DIST_EVALS.labels(algorithm=names[i]).inc(out.dist_evals)
+            _M_DIST_EVALS.labels(algorithm=names[i]).inc(evals[i])
         run_summaries[key] = BatchSummary(
             runs=1,
             parallel_time=seconds,
             cpu_time=seconds,
-            dist_evals=out.dist_evals,
-            cache_hits=out.cache_hits,
-            cache_misses=out.cache_misses,
+            dist_evals=evals[i],
             solver_rounds=stats.n_rounds if stats is not None else 0,
             retries=fault_stats.per_task_retries[i] if fault_stats else 0,
             speculative_wins=(
@@ -584,6 +538,4 @@ def solve_many(
             ),
         )
     summary = BatchSummary.merged(run_summaries.values())
-    return BatchResults(
-        zip(keys, (out.result for out in outputs)), summary, run_summaries
-    )
+    return BatchResults(zip(keys, results), summary, run_summaries)

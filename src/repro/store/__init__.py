@@ -22,10 +22,6 @@ arrays are the one thing the rest of the package assumed to be resident.
     Full :class:`~repro.metric.base.MetricSpace` over any stream —
     bit-identical results and identical distance accounting to the
     in-memory Euclidean space, with bounded memory.
-:class:`~repro.store.cache.DistanceCache`
-    Shared small-space distance matrices for repeated-space batches
-    (``solve_many(..., cache=...)``), keyed on content fingerprints so
-    equal spaces share entries across re-instantiations.
 :func:`~repro.store.shm.shared_space` / :class:`~repro.store.shm.SharedPoints`
     Zero-copy transport of *in-memory* spaces into process-pool
     workers: coordinates published once to ``multiprocessing``
@@ -42,7 +38,6 @@ Typical use::
     result = repro.solve(path, k=25, algorithm="stream")    # out-of-core solve
 """
 
-from repro.store.cache import DistanceCache
 from repro.store.generate import DEFAULT_GEN_BLOCK, GeneratorStream
 from repro.store.sharded import ShardedStream, write_shards
 from repro.store.shm import SharedPoints, publish_points, shared_space
@@ -65,7 +60,6 @@ __all__ = [
     "GeneratorStream",
     "ShardedStream",
     "ChunkedMetricSpace",
-    "DistanceCache",
     "SharedPoints",
     "as_stream",
     "as_space",

@@ -42,7 +42,7 @@ import numpy as np
 from repro.errors import MetricError
 from repro.metric import kernels
 from repro.metric.base import DistCounter, MetricSpace, TaskCounter
-from repro.metric.euclidean import EuclideanSpace, kernels_fingerprint
+from repro.metric.euclidean import EuclideanSpace
 from repro.store.stream import PointStream, SliceStream, StreamLike, as_stream
 from repro.utils.chunking import DEFAULT_BLOCK_BYTES, chunk_slices, resolve_chunk_size
 
@@ -109,16 +109,6 @@ class ChunkedMetricSpace(MetricSpace):
     def dim(self) -> int:
         """Coordinate dimension of the space."""
         return self.stream.dim
-
-    def _compute_fingerprint(self) -> str:
-        # Same tag family as EuclideanSpace: chunked results are
-        # bit-identical to the in-memory kernels over the same points, so
-        # equal data must fingerprint equally regardless of backing.
-        # Reads every chunk once; the base class memoises the digest.
-        return kernels_fingerprint(
-            (self.n, self.dim),
-            (self.stream.read_chunk(b) for b in range(self.stream.n_chunks)),
-        )
 
     def range_view(
         self, start: int, stop: int, counter: DistCounter | None = None

@@ -34,7 +34,7 @@ from repro.metric import kernels
 from repro.metric.base import DistCounter, TaskCounter
 from repro.metric.euclidean import EuclideanSpace
 from repro.solvers import BatchResults
-from repro.store import DistanceCache, machine_view
+from repro.store import machine_view
 from repro.utils.chunking import DEFAULT_BLOCK_BYTES
 
 
@@ -167,10 +167,9 @@ class TestTaskCounter:
 
         counter = TaskCounter()
         counter.add(5)
-        counter.count_cache(True)
         clone = pickle.loads(pickle.dumps(counter))
         clone.add(2)
-        assert (clone.evals, clone.cache_hits) == (7, 1)
+        assert clone.evals == 7
         clone.reset()
         assert clone.evals == 0
 
@@ -237,18 +236,6 @@ class TestBatchSummary:
         )
         assert 0.0 < summary.parallel_time <= summary.cpu_time
         assert summary.summary()["runs"] == 6
-
-    def test_cache_reuse_is_visible_but_records_invariant(self, space):
-        plain = repro.solve_many(space, 3, ("gon", "hs"), seeds=(0, 1))
-        cached = repro.solve_many(
-            space, 3, ("gon", "hs"), seeds=(0, 1), cache=DistanceCache()
-        )
-        assert cached.summary.dist_evals == plain.summary.dist_evals
-        assert plain.summary.cache_hits == plain.summary.cache_misses == 0
-        assert cached.summary.cache_misses == 1  # first run computes
-        assert cached.summary.cache_hits == 3  # the rest reuse
-        for key in plain:
-            assert (plain[key].centers == cached[key].centers).all()
 
 
 class TestWorkspace:

@@ -83,7 +83,7 @@ class TestBatchSummary:
 
         return BatchSummary(
             runs=3, parallel_time=0.25, cpu_time=0.6, dist_evals=1234,
-            cache_hits=2, cache_misses=1, solver_rounds=4,
+            solver_rounds=4, retries=2, speculative_wins=1,
         )
 
     def test_json_round_trip_is_exact(self):
@@ -99,26 +99,27 @@ class TestBatchSummary:
     def test_from_dict_ignores_unknown_and_defaults_missing(self):
         from repro.mapreduce.accounting import BatchSummary
 
+        # "cache_hits" is a retired field: old summaries must still parse.
         rebuilt = BatchSummary.from_dict(
-            {"runs": 2, "dist_evals": 9, "a_future_field": 1}
+            {"runs": 2, "dist_evals": 9, "cache_hits": 3, "a_future_field": 1}
         )
         assert rebuilt.runs == 2
         assert rebuilt.dist_evals == 9
-        assert rebuilt.cache_hits == 0
+        assert rebuilt.retries == 0
 
     def test_merged_sums_counts_and_maxes_parallel_time(self):
         from repro.mapreduce.accounting import BatchSummary
 
         a = BatchSummary(runs=1, parallel_time=0.5, cpu_time=0.5,
-                         dist_evals=10, cache_hits=1, solver_rounds=2)
+                         dist_evals=10, retries=1, solver_rounds=2)
         b = BatchSummary(runs=1, parallel_time=0.2, cpu_time=0.2,
-                         dist_evals=5, cache_misses=1)
+                         dist_evals=5, speculative_wins=1)
         merged = BatchSummary.merged([a, b])
         assert merged.runs == 2
         assert merged.parallel_time == 0.5  # slowest run, not the sum
         assert merged.cpu_time == pytest.approx(0.7)
         assert merged.dist_evals == 15
-        assert (merged.cache_hits, merged.cache_misses) == (1, 1)
+        assert (merged.retries, merged.speculative_wins) == (1, 1)
         assert merged.solver_rounds == 2
 
     def test_merged_of_nothing_is_the_zero_summary(self):

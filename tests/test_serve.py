@@ -249,19 +249,6 @@ class TestServedParity:
         assert stats["batches"] == 1
         assert stats["coalesced_requests"] == 3
 
-    def test_distance_cache_hits_on_repeated_space(self, rows):
-        config = ServeConfig(
-            backend="sequential", batch_window=0.25, cache_points=512
-        )
-        with ServerHandle(config) as h:
-            with h.client() as client:
-                for seed in range(3):
-                    resp = client.solve("gon", 4, points=rows, seed=seed)
-                    assert resp["ok"]
-                stats = client.stats()
-        assert stats["cache"]["hits"] >= 2
-        assert stats["cache"]["misses"] >= 1
-
 
 # ---------------------------------------------------------------------- #
 # failure paths

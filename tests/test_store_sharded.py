@@ -170,12 +170,3 @@ class TestCoercion:
         view = SliceStream(parent, 5, 15)  # aligned: 1 part per chunk
         chunk = view.read_chunk(0)
         assert not np.shares_memory(chunk, parent.points)
-
-    def test_fingerprint_matches_in_memory_twin(self, gen, materialised, tmp_path):
-        from repro.metric.euclidean import EuclideanSpace
-
-        sh = write_shards(gen, tmp_path / "s", 4)
-        assert (
-            ChunkedMetricSpace(sh).fingerprint()
-            == EuclideanSpace(materialised).fingerprint()
-        )
