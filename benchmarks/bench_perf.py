@@ -1,7 +1,9 @@
 """Perf harness — the machine-readable trajectory of the execution engine.
 
 Times the canonical figure-style workloads on every executor backend and
-writes ``BENCH_9.json`` at the repo root: wall-clock, distance
+writes ``BENCH_9.json`` into ``benchmarks/output/`` (or the directory
+given by ``--bench-out``; committed files are never overwritten):
+wall-clock, distance
 evaluations, peak RSS and per-round parallel/cpu time for each
 (workload, executor) cell.  Future PRs append ``BENCH_<n>.json`` files
 and get a trajectory to beat; ``benchmarks/baseline/BENCH_ref.json``
@@ -41,7 +43,6 @@ import os
 import platform
 import resource
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.store import ChunkedMetricSpace, GeneratorStream, write_shards
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_9.json"
+BENCH_NAME = "BENCH_9.json"
 
 K = 10
 DIM = 3
@@ -168,7 +169,7 @@ def _run_mr_obs(algorithm):
     return run
 
 
-def test_perf_trajectory(artifact_dir, tmp_path_factory):
+def test_perf_trajectory(artifact_dir, bench_out, tmp_path_factory):
     """Time every (workload, executor) cell; enforce bit-parity; write
     ``BENCH_9.json``."""
     tmp = tmp_path_factory.mktemp("perf")
@@ -273,8 +274,9 @@ def test_perf_trajectory(artifact_dir, tmp_path_factory):
         "executors": sorted(EXECUTORS),
         "records": records,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n[perf trajectory: {BENCH_PATH} — {len(records)} cells]")
+    bench_path = bench_out / BENCH_NAME
+    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"\n[perf trajectory: {bench_path} — {len(records)} cells]")
 
     from benchmarks.conftest import write_artifact
     from repro.utils.tables import format_table

@@ -2,9 +2,10 @@
 
 Boots a real :class:`~repro.serve.server.ServerHandle` (TCP, thread-pool
 backend) and drives it with the serving workload: **thousands of small concurrent solve requests plus a few large
-ones**, from concurrent client threads.  Writes ``BENCH_6.json`` at the
-repo root: request counts, wall time, throughput, p50/p99 latency per
-phase, plus the server's own accounting counters.
+ones**, from concurrent client threads.  Writes ``BENCH_6.json`` into
+``benchmarks/output/`` (or the directory given by ``--bench-out``):
+request counts, wall time, throughput, p50/p99 latency per phase, plus
+the server's own accounting counters.
 
 Contracts asserted (CI-enforced):
 
@@ -27,14 +28,13 @@ import os
 import platform
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
 import repro
 from repro.serve import ServeConfig, ServerHandle
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_6.json"
+BENCH_NAME = "BENCH_6.json"
 
 N_SMALL = 256  # points per small request's space
 N_LARGE = 20_000  # points per large request
@@ -61,7 +61,7 @@ def _percentiles(latencies_ms: list[float]) -> dict:
     }
 
 
-def test_serve_load(artifact_dir):
+def test_serve_load(artifact_dir, bench_out):
     rng = np.random.default_rng(2016)
     small_rows = rng.normal(size=(N_SMALL, 3))
     large_rows = rng.normal(size=(N_LARGE, 3))
@@ -213,8 +213,9 @@ def test_serve_load(artifact_dir):
         "records": records,
         "server_stats": stats,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n[serve trajectory: {BENCH_PATH} — {len(records)} phases]")
+    bench_path = bench_out / BENCH_NAME
+    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"\n[serve trajectory: {bench_path} — {len(records)} phases]")
 
     from benchmarks.conftest import write_artifact
     from repro.utils.tables import format_table

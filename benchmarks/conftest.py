@@ -24,10 +24,27 @@ import pytest
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench-out",
+        default=str(OUTPUT_DIR),
+        help="directory the perf and serve benches write BENCH_<n>.json "
+        "into (default: benchmarks/output/, which git ignores)",
+    )
+
+
 @pytest.fixture(scope="session")
 def artifact_dir() -> Path:
     OUTPUT_DIR.mkdir(exist_ok=True)
     return OUTPUT_DIR
+
+
+@pytest.fixture(scope="session")
+def bench_out(request) -> Path:
+    """Where a bench writes its machine-readable trajectory."""
+    path = Path(request.config.getoption("--bench-out"))
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,14 @@ approximation [Gonzalez 1985], and the runtime is O(k*n) distance
 evaluations: one fused vector pass per selected center, maintaining the
 running minimum distance to the chosen set in place.
 
+The loop is written once, over any :class:`~repro.metric.base.MetricSpace`:
+it takes its per-step distance function from
+:meth:`~repro.metric.base.MetricSpace.traversal`.  Most spaces step with
+``dists_to``; a large in-memory Euclidean space steps column-major
+(:class:`~repro.metric.kernels.ColumnTraversal`) with the same bits, so
+MRG's reducers and final round, EIM's last GON, :func:`gonzalez` and the
+greedy lower bound all take the fast path where it applies.
+
 This module exposes both the low-level traversal (:func:`gonzalez_trace`,
 returning the selection-radius trace that powers the certified lower bound
 in :mod:`repro.core.bounds`) and the packaged :func:`gonzalez` entry point
@@ -104,20 +112,21 @@ def gonzalez_trace(
     radii = np.empty(k_eff, dtype=np.float64)
     centers[0] = first
     radii[0] = np.inf
-    # Running min-distance of every point to the selected set; one fused
-    # vector pass per center keeps the whole loop at O(k n) with no
-    # temporaries beyond a single length-n vector.
-    dists = space.dists_to(None, first)
-    for t in range(1, k_eff):
-        farthest = int(dists.argmax())
-        radii[t] = dists[farthest]
-        if radii[t] == 0.0:
-            # All remaining points coincide with chosen centers; selecting
-            # duplicates would violate the distinct-centers contract.
-            centers, radii = centers[:t], radii[:t]
-            break
-        centers[t] = farthest
-        np.minimum(dists, space.dists_to(None, farthest), out=dists)
+    # Running min-distance of every point to the selected set, folded in
+    # place after one distance step per center: O(k n) in all.
+    with space.traversal(k_eff) as step:
+        dists = step(first)
+        for t in range(1, k_eff):
+            farthest = int(dists.argmax())
+            radii[t] = dists[farthest]
+            if radii[t] == 0.0:
+                # All remaining points coincide with chosen centers;
+                # selecting duplicates would violate the distinct-centers
+                # contract.
+                centers, radii = centers[:t], radii[:t]
+                break
+            centers[t] = farthest
+            np.minimum(dists, step(farthest), out=dists)
     return GonzalezTrace(centers=centers, selection_radii=radii, final_dists=dists)
 
 

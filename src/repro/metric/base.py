@@ -19,6 +19,8 @@ Two access patterns matter:
 from __future__ import annotations
 
 import abc
+import contextlib
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -217,6 +219,18 @@ class MetricSpace(abc.ABC):
         return float(
             self.dists_to(np.asarray([i], dtype=np.intp), int(j))[0]
         )
+
+    def traversal(self, cols: int):
+        """The distance step of a farthest-first traversal over all points.
+
+        A context manager yielding ``step(j)``: the distances from every
+        point to point ``j`` as a fresh vector, charging ``n`` evaluations
+        per call.  ``cols`` is the number of centers the traversal asks
+        for.  The base step is :meth:`dists_to`; a space with a faster
+        route to the same bits overrides this
+        (:class:`~repro.metric.euclidean.EuclideanSpace`).
+        """
+        return contextlib.nullcontext(functools.partial(self.dists_to, None))
 
     def min_dists(
         self, i_idx: np.ndarray | None, j_idx: np.ndarray | None

@@ -97,6 +97,19 @@ class EuclideanSpace(MetricSpace):
         self.counter.add(x.shape[0])
         return kernels.dists_to_point(x, self.points[int(j)])
 
+    def traversal(self, cols: int):
+        """Column-major steps (:class:`~repro.metric.kernels.ColumnTraversal`).
+
+        Used from :data:`~repro.metric.kernels.COLUMN_TRAVERSAL_MIN_ROWS`
+        rows up, at dimensions where the fold probe shows they keep
+        :meth:`dists_to`'s bits; the base :meth:`dists_to` step otherwise.
+        """
+        if self.n >= kernels.COLUMN_TRAVERSAL_MIN_ROWS and kernels.column_fold_exact(
+            self.dim
+        ):
+            return kernels.ColumnTraversal(self.points, cols, self.counter)
+        return super().traversal(cols)
+
     def cross(self, i_idx: np.ndarray | None, j_idx: np.ndarray | None) -> np.ndarray:
         i_idx = self._check(i_idx, "i_idx")
         j_idx = self._check(j_idx, "j_idx")

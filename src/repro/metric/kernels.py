@@ -22,6 +22,14 @@ a reduction before the kernel returns) are ever served from a workspace
 return value at the API boundary, is always freshly allocated unless the
 caller explicitly opts in by passing its own workspace.
 
+Gonzalez's traversal: a farthest-first step is "distances from every
+row to one point".  :func:`dists_to_point` does it row-major (broadcast
+difference, then ``einsum`` per row); :class:`ColumnTraversal` does it on
+a once-transposed copy, folding columns in ``einsum``'s own summation
+order so the bits match, from :data:`COLUMN_TRAVERSAL_MIN_ROWS` rows up
+and only at dimensions where :func:`column_fold_exact`'s run-time probe
+confirms that order on this numpy build.
+
 Accuracy note: the GEMM expansion trades a little absolute accuracy for a
 large constant-factor speedup — the squared distance carries absolute error
 of a few ulps of the squared coordinate magnitude.  Left alone, that error
@@ -41,6 +49,7 @@ callers block their rows — the store layer's bit-parity contract.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -59,6 +68,10 @@ __all__ = [
     "dists_to_point",
     "Workspace",
     "workspace",
+    "ColumnTraversal",
+    "column_fold_exact",
+    "COLUMN_TRAVERSAL_MIN_ROWS",
+    "COLUMN_BLOCK_BYTES",
     "MAX_DENSE_ELEMENTS",
     "MAX_RETAINED_BYTES",
     "CANCEL_RTOL",
@@ -72,11 +85,14 @@ MAX_DENSE_ELEMENTS = 128 * 2**20
 #: Cap on a single retained :class:`Workspace` buffer.  Deliberately its
 #: own constant, far above the L2-sized block budget: besides the blocks,
 #: the workspace recycles per-call scratch that scales with the rows a
-#: task owns — Gonzalez's ``(rows, d)`` difference buffer (640 KB on a
-#: 10^4 x 8 MRG shard) and the covering pass's per-row minima — and
-#: those must stay recycled.  The cap only stops dataset-sized
+#: task owns — :func:`dists_to_point`'s ``(rows, d)`` difference buffer
+#: (the row-major Gonzalez step below :data:`COLUMN_TRAVERSAL_MIN_ROWS`,
+#: chunked spaces' traversals) and the covering pass's per-row minima —
+#: and those must stay recycled.  The cap only stops dataset-sized
 #: temporaries (a full-space ``dists_to_point`` on a huge in-memory set)
 #: from being pinned by the thread-local workspace after the call ends.
+#: :class:`ColumnTraversal` draws its row block from the same ``diff``
+#: role, capped at :data:`COLUMN_BLOCK_BYTES` whatever the row count.
 MAX_RETAINED_BYTES = 32 * 2**20
 
 #: Squared distances below this fraction of ``|x|^2 + |y|^2`` are
@@ -329,6 +345,154 @@ def dists_to_point(
     out = np.einsum("ij,ij->i", diff, diff)
     np.sqrt(out, out=out)
     return out
+
+
+#: Rows at and above which an in-memory Euclidean traversal runs
+#: column-major (:class:`ColumnTraversal`).  Below it the one-off
+#: transpose and the per-column ufunc calls cost more than the steps
+#: save.  The measured crossover grows with d (best of 40 traversals,
+#: k in {8, 50}): under 256 rows at d = 2, 768-1,536 at d = 8, about
+#: 2,500 at d = 13.  2,048 keeps serve's 256-row solves on
+#: :func:`dists_to_point` and puts MRG's 2,500-row final round and its
+#: 10^4-row reducers on the column-major path.
+COLUMN_TRAVERSAL_MIN_ROWS = 2048
+
+#: Scratch budget of one :class:`ColumnTraversal` row block.  Measured,
+#: not the GEMM budget: at 10^4 x 8 a 256 KiB block (4,096 rows) lost
+#: most of the gain, and 1 MiB (16,384 rows at d = 8) was fastest from
+#: 10^4 to 5 * 10^5 rows.
+COLUMN_BLOCK_BYTES = 2**20
+
+# Per-dimension verdicts of the fold probe (see column_fold_exact), and
+# the probe's size: as many rows as the smallest column-major traversal.
+_FOLD_EXACT: dict[int, bool] = {}
+_PROBE_ROWS = COLUMN_TRAVERSAL_MIN_ROWS
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_order(d: int) -> tuple[int, ...]:
+    """The column pairs, by first column, in ``einsum``'s summation order.
+
+    numpy's baseline x86 build reduces a contiguous row of
+    ``einsum("ij,ij->i")`` with two SSE lanes: lane 0 takes the even
+    columns, lane 1 the odd ones.  Each full block of 8 columns lands on
+    the lane accumulators as the pairs ``(6, 7), (4, 5), (2, 3), (0, 1)``
+    — lane 0 sums ``((c6 + c4) + c2) + c0`` — the leftover columns are
+    added in pairs front to back (an odd last column alone), and the
+    result is lane 0 plus lane 1.  Other builds may differ;
+    :func:`column_fold_exact` checks rather than trusts this.
+    """
+    full = d - d % 8
+    return tuple(
+        [b + c for b in range(0, full, 8) for c in (6, 4, 2, 0)]
+        + list(range(full, d, 2))
+    )
+
+
+def _fold_columns(sq: np.ndarray, out: np.ndarray) -> None:
+    """Sum the rows of a ``(d, b)`` squared-difference block into ``out``.
+
+    Both lanes advance together: each add folds a row pair of ``sq``
+    onto the two accumulator rows, in :func:`_pair_order`'s order,
+    in place in ``sq`` (which it overwrites).  Starting the accumulators
+    from their first pair instead of ``0.0 + c`` changes no bit: squares
+    are never ``-0.0``.
+    """
+    first, *rest = _pair_order(sq.shape[0])
+    acc = sq[first : first + 2]
+    for col in rest:
+        pair = sq[col : col + 2]
+        np.add(acc[: len(pair)], pair, out=acc[: len(pair)])
+    if len(acc) == 2:
+        np.add(acc[0], acc[1], out=out)
+    else:
+        np.copyto(out, acc[0])
+
+
+class ColumnTraversal:
+    """Farthest-first traversal steps over a column-major copy of ``x``.
+
+    Gonzalez's step is "distances from every row to row ``j``".  Row-major
+    (:func:`dists_to_point`) it broadcasts ``x - p`` over ``(n, d)`` and
+    reduces each short row with ``einsum``; here the rows are transposed
+    once per traversal to ``(d, n)``, and each step subtracts, squares
+    and folds whole columns over an L2-sized ``(d, rows)`` scratch block
+    (:data:`COLUMN_BLOCK_BYTES`), in ``einsum``'s own summation order —
+    so every distance is bit-identical to :func:`dists_to_point`'s.
+    Only use it where :func:`column_fold_exact` holds for ``d``.
+
+    Memory: the transposed copy is the size of the ``(n, d)`` difference
+    buffer the row-major step needs, and is freed with the traversal.
+    Each step draws its block from the calling thread's
+    :class:`Workspace` (the ``diff`` role that buffer is recycled
+    through), so the thread retains at most :data:`COLUMN_BLOCK_BYTES`
+    afterwards rather than ``n * d`` floats.
+
+    Entering the object opens one ``kernels.gonzalez`` block span
+    (``rows`` = n, ``cols`` = the centers asked for) and yields
+    :meth:`dists_to`.  Each step charges ``n`` evaluations to
+    ``counter`` (the fold probe passes none).  One traversal, one thread.
+    """
+
+    __slots__ = ("_xt", "_rows", "_counter", "_cols", "_span")
+
+    def __init__(self, x: np.ndarray, cols: int, counter=None) -> None:
+        n, d = x.shape
+        self._xt = np.ascontiguousarray(x.T)
+        self._rows = min(n, max(1, COLUMN_BLOCK_BYTES // (8 * d)))
+        self._counter = counter
+        self._cols = int(cols)
+
+    def __enter__(self):
+        n = self._xt.shape[1]
+        self._span = _trace.block_span("kernels.gonzalez", rows=n, cols=self._cols)
+        self._span.__enter__()
+        return self.dists_to
+
+    def __exit__(self, *exc) -> None:
+        self._span.__exit__(*exc)
+
+    def dists_to(self, j: int) -> np.ndarray:
+        """Distances from every row to row ``j`` (a fresh vector)."""
+        xt = self._xt
+        d, n = xt.shape
+        if self._counter is not None:
+            self._counter.add(n)
+        sq = workspace().take("diff", (d, self._rows))
+        p = xt[:, j : j + 1]
+        out = np.empty(n, dtype=np.float64)
+        for sl in chunk_slices(n, self._rows):
+            block = sq[:, : sl.stop - sl.start]
+            np.subtract(xt[:, sl], p, out=block)
+            np.multiply(block, block, out=block)
+            _fold_columns(block, out[sl])
+        np.sqrt(out, out=out)
+        return out
+
+
+def column_fold_exact(d: int) -> bool:
+    """Whether :class:`ColumnTraversal` reproduces ``einsum``'s bits at ``d``.
+
+    The fold order is a fact about the numpy build, not a guarantee, so
+    the first call per ``d`` in a process runs a fixed-seed probe — mixed
+    magnitudes, near-duplicates and points offset by 1e8 — through both
+    steps and caches the verdict.  Lazy by design: nothing runs at
+    import, and a process that never traverses at least
+    :data:`COLUMN_TRAVERSAL_MIN_ROWS` rows never probes.
+    """
+    verdict = _FOLD_EXACT.get(d)
+    if verdict is None:
+        rng = np.random.default_rng(d)
+        n = _PROBE_ROWS
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+        x[1::4] = x[0] + 1e-9 * rng.normal(size=(len(x[1::4]), d))
+        x[2::4] += 1e8
+        step = ColumnTraversal(x, 0).dists_to
+        verdict = _FOLD_EXACT[d] = all(
+            np.array_equal(step(j).view(np.int64), dists_to_point(x, x[j]).view(np.int64))
+            for j in (0, 1, 2, n - 1)
+        )
+    return verdict
 
 
 def update_min_dists(
