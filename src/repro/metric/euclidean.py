@@ -98,15 +98,10 @@ class EuclideanSpace(MetricSpace):
         return kernels.dists_to_point(x, self.points[int(j)])
 
     def traversal(self, cols: int):
-        """Column-major steps (:class:`~repro.metric.kernels.ColumnTraversal`).
-
-        Used from :data:`~repro.metric.kernels.COLUMN_TRAVERSAL_MIN_ROWS`
-        rows up, at dimensions where the fold probe shows they keep
-        :meth:`dists_to`'s bits; the base :meth:`dists_to` step otherwise.
-        """
-        if self.n >= kernels.COLUMN_TRAVERSAL_MIN_ROWS and kernels.column_fold_exact(
-            self.dim
-        ):
+        """Column-major steps (:class:`~repro.metric.kernels.ColumnTraversal`)
+        where :func:`~repro.metric.kernels.column_traversal_pays`; the
+        base :meth:`dists_to` step otherwise.  Same bits either way."""
+        if kernels.column_traversal_pays(self.n, self.dim):
             return kernels.ColumnTraversal(self.points, cols, self.counter)
         return super().traversal(cols)
 

@@ -26,9 +26,9 @@ Gonzalez's traversal: a farthest-first step is "distances from every
 row to one point".  :func:`dists_to_point` does it row-major (broadcast
 difference, then ``einsum`` per row); :class:`ColumnTraversal` does it on
 a once-transposed copy, folding columns in ``einsum``'s own summation
-order so the bits match, from :data:`COLUMN_TRAVERSAL_MIN_ROWS` rows up
-and only at dimensions where :func:`column_fold_exact`'s run-time probe
-confirms that order on this numpy build.
+order so the bits match — where :func:`column_traversal_pays` says the
+shape is past the measured crossover and :func:`column_fold_exact`'s
+run-time probe confirms that order on this numpy build.
 
 Accuracy note: the GEMM expansion trades a little absolute accuracy for a
 large constant-factor speedup — the squared distance carries absolute error
@@ -70,7 +70,8 @@ __all__ = [
     "workspace",
     "ColumnTraversal",
     "column_fold_exact",
-    "COLUMN_TRAVERSAL_MIN_ROWS",
+    "column_traversal_pays",
+    "COLUMN_ROWS_PER_DIM2",
     "COLUMN_BLOCK_BYTES",
     "MAX_DENSE_ELEMENTS",
     "MAX_RETAINED_BYTES",
@@ -86,7 +87,7 @@ MAX_DENSE_ELEMENTS = 128 * 2**20
 #: own constant, far above the L2-sized block budget: besides the blocks,
 #: the workspace recycles per-call scratch that scales with the rows a
 #: task owns — :func:`dists_to_point`'s ``(rows, d)`` difference buffer
-#: (the row-major Gonzalez step below :data:`COLUMN_TRAVERSAL_MIN_ROWS`,
+#: (the row-major Gonzalez step below the column-major crossover,
 #: chunked spaces' traversals) and the covering pass's per-row minima —
 #: and those must stay recycled.  The cap only stops dataset-sized
 #: temporaries (a full-space ``dists_to_point`` on a huge in-memory set)
@@ -347,15 +348,22 @@ def dists_to_point(
     return out
 
 
-#: Rows at and above which an in-memory Euclidean traversal runs
-#: column-major (:class:`ColumnTraversal`).  Below it the one-off
-#: transpose and the per-column ufunc calls cost more than the steps
-#: save.  The measured crossover grows with d (best of 40 traversals,
-#: k in {8, 50}): under 256 rows at d = 2, 768-1,536 at d = 8, about
-#: 2,500 at d = 13.  2,048 keeps serve's 256-row solves on
-#: :func:`dists_to_point` and puts MRG's 2,500-row final round and its
-#: 10^4-row reducers on the column-major path.
-COLUMN_TRAVERSAL_MIN_ROWS = 2048
+#: A traversal over ``n`` rows of dimension ``d >= 2`` runs column-major
+#: (:class:`ColumnTraversal`) from ``COLUMN_ROWS_PER_DIM2 * d**2`` rows
+#: up.  The crossover is not one row count: below it the one-off
+#: transpose and the per-column ufunc calls (about ``d`` per step) cost
+#: more than the steps save, and ``einsum`` gets relatively faster on
+#: longer rows.  Measured (best of 30 traversals, k in {2, 8, 50}), the
+#: column-major path first won for good at 128-256 rows at d = 2,
+#: 384-512 at d = 3-4, 512-1,024 at d = 6, 1,536-2,048 at d = 8 and
+#: about 4,096 at d = 16; ``32 * d**2`` tracks that within a grid step
+#: (conservatively from d = 10 up).  It keeps serve's
+#: 256 x 8 solves on :func:`dists_to_point` and puts MRG's 10^4 x 8
+#: reducers and 2,500 x 8 final round (threshold 2,048) on the
+#: column-major path.  At d = 1 there is nothing to fold and the
+#: column-major path measured 0-19% slower at every size, so it never
+#: runs there.
+COLUMN_ROWS_PER_DIM2 = 32
 
 #: Scratch budget of one :class:`ColumnTraversal` row block.  Measured,
 #: not the GEMM budget: at 10^4 x 8 a 256 KiB block (4,096 rows) lost
@@ -363,10 +371,8 @@ COLUMN_TRAVERSAL_MIN_ROWS = 2048
 #: 10^4 to 5 * 10^5 rows.
 COLUMN_BLOCK_BYTES = 2**20
 
-# Per-dimension verdicts of the fold probe (see column_fold_exact), and
-# the probe's size: as many rows as the smallest column-major traversal.
+# Per-dimension verdicts of the fold probe (see column_fold_exact).
 _FOLD_EXACT: dict[int, bool] = {}
-_PROBE_ROWS = COLUMN_TRAVERSAL_MIN_ROWS
 
 
 @functools.lru_cache(maxsize=None)
@@ -470,20 +476,28 @@ class ColumnTraversal:
         return out
 
 
+def column_traversal_pays(n: int, d: int) -> bool:
+    """Whether a traversal over ``n`` rows of dimension ``d`` should run
+    column-major: past the crossover (:data:`COLUMN_ROWS_PER_DIM2`) and
+    proven bit-equal at ``d`` (:func:`column_fold_exact`)."""
+    return d > 1 and n >= COLUMN_ROWS_PER_DIM2 * d * d and column_fold_exact(d)
+
+
 def column_fold_exact(d: int) -> bool:
     """Whether :class:`ColumnTraversal` reproduces ``einsum``'s bits at ``d``.
 
     The fold order is a fact about the numpy build, not a guarantee, so
     the first call per ``d`` in a process runs a fixed-seed probe — mixed
     magnitudes, near-duplicates and points offset by 1e8 — through both
-    steps and caches the verdict.  Lazy by design: nothing runs at
-    import, and a process that never traverses at least
-    :data:`COLUMN_TRAVERSAL_MIN_ROWS` rows never probes.
+    steps and caches the verdict.  The probe has as many rows as the
+    smallest column-major traversal at ``d``.  Lazy by design: nothing
+    runs at import, and a process whose traversals all stay below the
+    crossover never probes.
     """
     verdict = _FOLD_EXACT.get(d)
     if verdict is None:
         rng = np.random.default_rng(d)
-        n = _PROBE_ROWS
+        n = COLUMN_ROWS_PER_DIM2 * d * d
         x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
         x[1::4] = x[0] + 1e-9 * rng.normal(size=(len(x[1::4]), d))
         x[2::4] += 1e8

@@ -91,7 +91,19 @@ def build() -> dict:
 
 def simd_baseline() -> list[str]:
     """numpy's compiled-in SIMD baseline (``einsum``'s lane layout)."""
-    return list(np.show_config(mode="dicts")["SIMD Extensions"]["baseline"])
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    return list(simd.get("baseline", []))
+
+
+def build_mismatch(manifest: dict) -> str | None:
+    """How this host's build differs from the one ``manifest`` records."""
+    here = {"numpy": np.__version__, "simd_baseline": simd_baseline()}
+    diffs = [
+        f"{key} {manifest[key]!r} recorded, {value!r} here"
+        for key, value in here.items()
+        if manifest[key] != value
+    ]
+    return "; ".join(diffs) or None
 
 
 def dump(manifest: dict) -> str:

@@ -11,6 +11,7 @@ fail to show the fallback keeps the bits.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -26,29 +27,36 @@ from hypothesis import strategies as st
 
 from repro.core.gonzalez import gonzalez_trace
 from repro.metric import kernels
+from repro.metric.base import MetricSpace
 from repro.metric.euclidean import EuclideanSpace
 from repro.obs import trace
 from repro.store.space import ChunkedMetricSpace
 
-MIN_ROWS = kernels.COLUMN_TRAVERSAL_MIN_ROWS
-MANIFEST = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "bits.json").read_text()
+_spec = importlib.util.spec_from_file_location(
+    "regenerate_bits", pathlib.Path(__file__).parent / "golden" / "regenerate_bits.py"
 )
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
-def on_recorded_build() -> bool:
-    baseline = list(np.show_config(mode="dicts")["SIMD Extensions"]["baseline"])
-    return (MANIFEST["numpy"], MANIFEST["simd_baseline"]) == (np.__version__, baseline)
+def threshold(d: int) -> int:
+    return kernels.COLUMN_ROWS_PER_DIM2 * d * d
 
 
-def both_paths(x: np.ndarray, k: int, first: int, min_rows: int = MIN_ROWS):
-    """(fast, reference) traces of one traversal; the fast one column-major
-    wherever the probe allows, the reference always row-major."""
+def _column_major(self, cols):
+    if kernels.column_fold_exact(self.dim):
+        return kernels.ColumnTraversal(self.points, cols, self.counter)
+    return MetricSpace.traversal(self, cols)
+
+
+def both_paths(x: np.ndarray, k: int, first: int):
+    """(fast, reference) traces of one traversal: column-major wherever the
+    probe allows (whatever the size), and always row-major."""
     space = EuclideanSpace(x)
-    with mock.patch.object(kernels, "COLUMN_TRAVERSAL_MIN_ROWS", min_rows):
+    with mock.patch.object(EuclideanSpace, "traversal", _column_major):
         fast = gonzalez_trace(space, k, first_center=first)
         fast_evals = space.counter.evals
-    with mock.patch.object(kernels, "COLUMN_TRAVERSAL_MIN_ROWS", math.inf):
+    with mock.patch.object(EuclideanSpace, "traversal", MetricSpace.traversal):
         ref = gonzalez_trace(space, k, first_center=first)
     assert space.counter.evals == 2 * fast_evals
     return fast, ref
@@ -69,17 +77,32 @@ def block_rows(d: int) -> int:
 def test_sweep_d_and_block_boundaries(d):
     rng = np.random.default_rng(d)
     block = block_rows(d)
-    for n in (MIN_ROWS, MIN_ROWS + 1, block - 1, block + 1, 3 * block + 7):
+    for n in (threshold(d), threshold(d) + 1, block - 1, block + 1, 3 * block + 7):
         x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
-        assert isinstance(
-            EuclideanSpace(x).traversal(5), kernels.ColumnTraversal
-        ) == kernels.column_fold_exact(d)
         assert_same_bits(*both_paths(x, 5, first=n // 2))
 
 
+@pytest.mark.parametrize(
+    "n,d,fast",
+    [
+        (256, 8, False),  # serve's shape stays on einsum
+        (10_000, 8, True),  # an MRG reducer on mrg-proc
+        (2_500, 8, True),  # MRG's final round there
+        (threshold(3) - 1, 3, False),
+        (threshold(3), 3, True),
+        (10**5, 1, False),  # nothing to fold at d = 1
+    ],
+)
+def test_which_shapes_run_column_major(n, d, fast):
+    space = EuclideanSpace(np.zeros((n, d)))
+    picked = isinstance(space.traversal(4), kernels.ColumnTraversal)
+    assert picked == (fast and kernels.column_fold_exact(d))
+
+
 def test_probe_enables_every_d_on_the_recorded_build():
-    if not on_recorded_build():
-        pytest.skip("the fold order is pinned only on the build bits.json records")
+    mismatch = regen.build_mismatch(json.loads(regen.MANIFEST.read_text()))
+    if mismatch:
+        pytest.skip(f"the fold order is pinned only on the recorded build: {mismatch}")
     # A numpy upgrade that reorders einsum must fail here, not quietly
     # send every traversal back to the slow path.
     assert [d for d in range(1, 17) if not kernels.column_fold_exact(d)] == []
@@ -120,7 +143,7 @@ def _fsum_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 )
 def test_adversarial_clouds_keep_the_bits(kind, n, d, k, seed):
     x = _cloud(kind, n, d, seed)
-    fast, ref = both_paths(x, k, first=seed % n, min_rows=1)
+    fast, ref = both_paths(x, k, first=seed % n)
     assert_same_bits(fast, ref)
     # Few-ulp agreement with an exactly rounded sum of the same squares.
     want = _fsum_dists(x, fast.centers)
@@ -132,7 +155,7 @@ def _front_to_back(sq: np.ndarray, out: np.ndarray) -> None:
 
 
 def test_probe_mismatch_falls_back_to_einsum(monkeypatch):
-    x = np.random.default_rng(5).normal(size=(MIN_ROWS + 100, 8)) + 1e8
+    x = np.random.default_rng(5).normal(size=(threshold(8) + 100, 8)) + 1e8
     space = EuclideanSpace(x)
     want = gonzalez_trace(space, 6, first_center=0)
     monkeypatch.setattr(kernels, "_FOLD_EXACT", {})
@@ -150,17 +173,17 @@ def _block_spans(space, k):
 
 
 def test_one_block_span_per_fast_traversal_and_none_on_einsum():
-    x = np.random.default_rng(6).normal(size=(MIN_ROWS, 8))
+    x = np.random.default_rng(6).normal(size=(threshold(8), 8))
     spans = _block_spans(EuclideanSpace(x), 9)
     if kernels.column_fold_exact(8):
         assert [(s.name, s.args) for s in spans] == [
-            ("kernels.gonzalez", {"rows": MIN_ROWS, "cols": 9})
+            ("kernels.gonzalez", {"rows": threshold(8), "cols": 9})
         ]
     assert _block_spans(EuclideanSpace(x[:256]), 8) == []
 
 
 def test_other_spaces_keep_the_row_major_step():
-    x = np.random.default_rng(7).normal(size=(MIN_ROWS, 3))
+    x = np.random.default_rng(7).normal(size=(threshold(3), 3))
     chunked = ChunkedMetricSpace(x)
     assert not isinstance(chunked.traversal(4), kernels.ColumnTraversal)
     assert_same_bits(

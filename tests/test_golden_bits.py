@@ -20,7 +20,6 @@ import importlib.util
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 _HERE = pathlib.Path(__file__).parent / "golden"
@@ -39,16 +38,6 @@ def recomputed(case_id: str) -> dict:
     return regen.compute(case_id)
 
 
-def build_mismatch() -> str | None:
-    here = {"numpy": np.__version__, "simd_baseline": regen.simd_baseline()}
-    diffs = [
-        f"{key} {MANIFEST[key]!r} recorded, {value!r} here"
-        for key, value in here.items()
-        if MANIFEST[key] != value
-    ]
-    return "; ".join(diffs) or None
-
-
 def test_manifest_covers_every_case():
     assert sorted(ENTRIES) == sorted(regen.CASES)
 
@@ -62,7 +51,7 @@ def test_centers_and_dist_evals(case_id):
 
 @pytest.mark.parametrize("case_id", sorted(ENTRIES))
 def test_float_bits(case_id):
-    mismatch = build_mismatch()
+    mismatch = regen.build_mismatch(MANIFEST)
     if mismatch:
         pytest.skip(f"float bits recorded on another build: {mismatch}")
     want, got = ENTRIES[case_id], recomputed(case_id)
