@@ -9,10 +9,11 @@ evaluations: one fused vector pass per selected center, maintaining the
 running minimum distance to the chosen set in place.
 
 The loop is written once, over any :class:`~repro.metric.base.MetricSpace`:
-it takes its per-step distance function from
-:meth:`~repro.metric.base.MetricSpace.traversal`.  Most spaces step with
-``dists_to``; a large in-memory Euclidean space steps column-major
-(:class:`~repro.metric.kernels.ColumnTraversal`) with the same bits, so
+it takes its per-step distance function, and the span to hold open
+around the steps, from :meth:`~repro.metric.base.MetricSpace.traversal`.
+Most spaces step with ``dists_to`` under no span; a large in-memory
+Euclidean space steps column-major
+(:func:`~repro.metric.kernels.column_traversal`) with the same bits, so
 MRG's reducers and final round, EIM's last GON, :func:`gonzalez` and the
 greedy lower bound all take the fast path where it applies.
 
@@ -114,7 +115,8 @@ def gonzalez_trace(
     radii[0] = np.inf
     # Running min-distance of every point to the selected set, folded in
     # place after one distance step per center: O(k n) in all.
-    with space.traversal(k_eff) as step:
+    step, span = space.traversal(k_eff)
+    with span:
         dists = step(first)
         for t in range(1, k_eff):
             farthest = int(dists.argmax())

@@ -53,7 +53,8 @@ def _gon_shard_task(
 ) -> TaskOutput:
     """One reducer: GON over a machine view of ``shard``; global center ids.
 
-    Top-level and argument-picklable (any executor backend); the machine
+    ``shard`` is an index array, or a ``range`` of rows (a block shard of
+    round 1, viewed in place).  Top-level and argument-picklable (any executor backend); the machine
     view's private counter rides back in the :class:`TaskOutput`.  A
     contiguous shard of an out-of-core space stays out-of-core — the
     round-1 partition of a sharded dataset never gathers ``(n, d)``
@@ -69,6 +70,8 @@ def _gon_shard_task(
     finally:
         if hasattr(view, "release"):
             view.release()
+    if isinstance(shard, range):
+        return TaskOutput(trace.centers + shard.start, view.counter.evals)
     return TaskOutput(shard[trace.centers], view.counter.evals)
 
 
@@ -84,16 +87,25 @@ def _resolve_partitioner(partitioner) -> Callable:
 
 
 def _partition_indices(
-    fn: Callable, current: np.ndarray, n_machines: int, seed
-) -> list[np.ndarray]:
-    """Partition positions of ``current`` into machine shards (global ids)."""
+    fn: Callable, current: np.ndarray | range, n_machines: int, seed
+) -> list[np.ndarray | range]:
+    """Partition positions of ``current`` into machine shards (global ids).
+
+    A block partition of a row range (round 1's ``range(n)``) yields row
+    ranges: each reducer then views its rows in place instead of
+    gathering them through an index array.
+    """
     if fn is block_partition or fn is PARTITIONERS["block"]:
         parts = fn(len(current), n_machines)
+        if isinstance(current, range):
+            return [current[int(p[0]) : int(p[-1]) + 1] for p in parts if len(p)]
     else:
         try:
             parts = fn(len(current), n_machines, seed)
         except TypeError:
             parts = fn(len(current), n_machines)
+    if isinstance(current, range):
+        current = np.arange(current.start, current.stop, dtype=np.intp)
     return [current[p] for p in parts if len(p)]
 
 
@@ -159,7 +171,7 @@ def mrg(
     # handle instead of their shard's rows (repro.store.shm).  The segment
     # lives exactly as long as the job, error paths included.
     with wall, shared_space(space, cluster.executor) as task_space:
-        current = np.arange(n, dtype=np.intp)
+        current = range(n)
         reduction_rounds = 0
         shard_history: list[list[int]] = []
         while len(current) > c:

@@ -223,14 +223,16 @@ class MetricSpace(abc.ABC):
     def traversal(self, cols: int):
         """The distance step of a farthest-first traversal over all points.
 
-        A context manager yielding ``step(j)``: the distances from every
-        point to point ``j`` as a fresh vector, charging ``n`` evaluations
-        per call.  ``cols`` is the number of centers the traversal asks
-        for.  The base step is :meth:`dists_to`; a space with a faster
-        route to the same bits overrides this
+        Returns ``(step, span)``: ``step(j)`` gives the distances from
+        every point to point ``j`` as a fresh vector, charging ``n``
+        evaluations per call, and ``span`` is a context manager the
+        caller holds open around the steps.  ``cols`` is the number of
+        centers the traversal asks for.  The base step is
+        :meth:`dists_to` under no span; a space with a faster route to
+        the same bits overrides this
         (:class:`~repro.metric.euclidean.EuclideanSpace`).
         """
-        return contextlib.nullcontext(functools.partial(self.dists_to, None))
+        return functools.partial(self.dists_to, None), contextlib.nullcontext()
 
     def min_dists(
         self, i_idx: np.ndarray | None, j_idx: np.ndarray | None

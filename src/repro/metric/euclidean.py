@@ -98,11 +98,11 @@ class EuclideanSpace(MetricSpace):
         return kernels.dists_to_point(x, self.points[int(j)])
 
     def traversal(self, cols: int):
-        """Column-major steps (:class:`~repro.metric.kernels.ColumnTraversal`)
+        """Column-major steps (:func:`~repro.metric.kernels.column_traversal`)
         where :func:`~repro.metric.kernels.column_traversal_pays`; the
         base :meth:`dists_to` step otherwise.  Same bits either way."""
         if kernels.column_traversal_pays(self.n, self.dim):
-            return kernels.ColumnTraversal(self.points, cols, self.counter)
+            return kernels.column_traversal(self.points, cols, self.counter)
         return super().traversal(cols)
 
     def cross(self, i_idx: np.ndarray | None, j_idx: np.ndarray | None) -> np.ndarray:
@@ -170,8 +170,31 @@ class EuclideanSpace(MetricSpace):
             dist[sl] = d
         return pos, dist
 
+    def _sub(self, rows, counter: DistCounter | None) -> "EuclideanSpace":
+        """A space over ``self.points[rows]``: the rows were validated and
+        their squared norms computed when this space was built, so
+        neither is redone."""
+        sub = EuclideanSpace.__new__(EuclideanSpace)
+        pts = self.points[rows] if isinstance(rows, slice) else self.points.take(rows, axis=0)
+        MetricSpace.__init__(sub, pts.shape[0], counter)
+        sub.points, sub._sq = pts, self._sq[rows]
+        sub.block_bytes = self.block_bytes
+        sub._shared = None
+        return sub
+
     def local(self, i_idx: np.ndarray) -> "EuclideanSpace":
-        i_idx = self._check(i_idx, "i_idx")
-        return EuclideanSpace(
-            self.points[i_idx], counter=self.counter, block_bytes=self.block_bytes
-        )
+        return self._sub(self._check(i_idx, "i_idx"), self.counter)
+
+    def range_view(
+        self, start: int, stop: int, counter: DistCounter | None = None
+    ) -> "EuclideanSpace":
+        """Zero-copy sub-space over the contiguous rows ``[start, stop)``.
+
+        The machine view of a block-partitioned MRG shard (see
+        :func:`repro.store.space.machine_view`), mirroring
+        :meth:`repro.store.space.ChunkedMetricSpace.range_view`: its own
+        counter by default, and the rows viewed in place, not copied.
+        """
+        if not 0 <= start <= stop <= self.n:
+            raise MetricError(f"row range [{start}, {stop}) out of range for n={self.n}")
+        return self._sub(slice(start, stop), counter)

@@ -24,7 +24,7 @@ caller explicitly opts in by passing its own workspace.
 
 Gonzalez's traversal: a farthest-first step is "distances from every
 row to one point".  :func:`dists_to_point` does it row-major (broadcast
-difference, then ``einsum`` per row); :class:`ColumnTraversal` does it on
+difference, then ``einsum`` per row); :func:`column_traversal` does it on
 a once-transposed copy, folding columns in ``einsum``'s own summation
 order so the bits match — where :func:`column_traversal_pays` says the
 shape is past the measured crossover and :func:`column_fold_exact`'s
@@ -68,7 +68,7 @@ __all__ = [
     "dists_to_point",
     "Workspace",
     "workspace",
-    "ColumnTraversal",
+    "column_traversal",
     "column_fold_exact",
     "column_traversal_pays",
     "COLUMN_ROWS_PER_DIM2",
@@ -92,7 +92,7 @@ MAX_DENSE_ELEMENTS = 128 * 2**20
 #: and those must stay recycled.  The cap only stops dataset-sized
 #: temporaries (a full-space ``dists_to_point`` on a huge in-memory set)
 #: from being pinned by the thread-local workspace after the call ends.
-#: :class:`ColumnTraversal` draws its row block from the same ``diff``
+#: :func:`column_traversal` draws its row block from the same ``diff``
 #: role, capped at :data:`COLUMN_BLOCK_BYTES` whatever the row count.
 MAX_RETAINED_BYTES = 32 * 2**20
 
@@ -349,7 +349,7 @@ def dists_to_point(
 
 
 #: A traversal over ``n`` rows of dimension ``d >= 2`` runs column-major
-#: (:class:`ColumnTraversal`) from ``COLUMN_ROWS_PER_DIM2 * d**2`` rows
+#: (:func:`column_traversal`) from ``COLUMN_ROWS_PER_DIM2 * d**2`` rows
 #: up.  The crossover is not one row count: below it the one-off
 #: transpose and the per-column ufunc calls (about ``d`` per step) cost
 #: more than the steps save, and ``einsum`` gets relatively faster on
@@ -365,7 +365,7 @@ def dists_to_point(
 #: runs there.
 COLUMN_ROWS_PER_DIM2 = 32
 
-#: Scratch budget of one :class:`ColumnTraversal` row block.  Measured,
+#: Scratch budget of one :func:`column_traversal` row block.  Measured,
 #: not the GEMM budget: at 10^4 x 8 a 256 KiB block (4,096 rows) lost
 #: most of the gain, and 1 MiB (16,384 rows at d = 8) was fastest from
 #: 10^4 to 5 * 10^5 rows.
@@ -395,85 +395,84 @@ def _pair_order(d: int) -> tuple[int, ...]:
     )
 
 
-def _fold_columns(sq: np.ndarray, out: np.ndarray) -> None:
-    """Sum the rows of a ``(d, b)`` squared-difference block into ``out``.
+def _fold_plan(sq: np.ndarray):
+    """How to sum the rows of a ``(d, b)`` squared-difference block.
 
-    Both lanes advance together: each add folds a row pair of ``sq``
-    onto the two accumulator rows, in :func:`_pair_order`'s order,
-    in place in ``sq`` (which it overwrites).  Starting the accumulators
-    from their first pair instead of ``0.0 + c`` changes no bit: squares
-    are never ``-0.0``.
+    Returns ``(adds, lanes)``: the in-place adds, in :func:`_pair_order`'s
+    order, that fold each row pair of ``sq`` onto its two accumulator
+    rows, and those rows (lane 0 and lane 1; one row when ``d = 1``),
+    whose sum is the fold.  Both lanes advance together.  Starting the
+    accumulators from their first pair instead of ``0.0 + c`` changes no
+    bit: squares are never ``-0.0``.
     """
     first, *rest = _pair_order(sq.shape[0])
-    acc = sq[first : first + 2]
-    for col in rest:
-        pair = sq[col : col + 2]
-        np.add(acc[: len(pair)], pair, out=acc[: len(pair)])
-    if len(acc) == 2:
-        np.add(acc[0], acc[1], out=out)
-    else:
-        np.copyto(out, acc[0])
+    lanes = sq[first : first + 2]
+    adds = [(lanes[: len(pair)], pair) for pair in (sq[c : c + 2] for c in rest)]
+    return adds, lanes
 
 
-class ColumnTraversal:
-    """Farthest-first traversal steps over a column-major copy of ``x``.
+def _column_step(x: np.ndarray, counter=None):
+    """The step of a column-major traversal over the rows of ``x``.
 
     Gonzalez's step is "distances from every row to row ``j``".  Row-major
     (:func:`dists_to_point`) it broadcasts ``x - p`` over ``(n, d)`` and
     reduces each short row with ``einsum``; here the rows are transposed
-    once per traversal to ``(d, n)``, and each step subtracts, squares
-    and folds whole columns over an L2-sized ``(d, rows)`` scratch block
+    once to ``(d, n)``, and each step subtracts, squares and folds whole
+    columns over an L2-sized ``(d, rows)`` block
     (:data:`COLUMN_BLOCK_BYTES`), in ``einsum``'s own summation order —
-    so every distance is bit-identical to :func:`dists_to_point`'s.
-    Only use it where :func:`column_fold_exact` holds for ``d``.
+    so every distance is bit-identical to :func:`dists_to_point`'s.  Only
+    use it where :func:`column_fold_exact` holds for ``d``.
 
-    Memory: the transposed copy is the size of the ``(n, d)`` difference
-    buffer the row-major step needs, and is freed with the traversal.
-    Each step draws its block from the calling thread's
-    :class:`Workspace` (the ``diff`` role that buffer is recycled
-    through), so the thread retains at most :data:`COLUMN_BLOCK_BYTES`
-    afterwards rather than ``n * d`` floats.
-
-    Entering the object opens one ``kernels.gonzalez`` block span
-    (``rows`` = n, ``cols`` = the centers asked for) and yields
-    :meth:`dists_to`.  Each step charges ``n`` evaluations to
-    ``counter`` (the fold probe passes none).  One traversal, one thread.
+    The transposed copy lives as long as the returned ``step``.  The
+    block is taken once from the calling thread's :class:`Workspace` (the
+    ``diff`` role the row-major difference buffer is recycled through),
+    so the thread retains at most :data:`COLUMN_BLOCK_BYTES` afterwards
+    rather than ``n * d`` floats; each step overwrites every element of
+    it that it reads, so another take of the role between steps cannot
+    change a result.  The views each step works on are built here, once:
+    at MRG's reducer sizes the step is a handful of ufunc calls, and
+    per-step Python would be a large share of it.  Each step charges
+    ``n`` evaluations to ``counter`` (the fold probe passes none).  One
+    traversal, one thread.
     """
+    n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
+    rows = min(n, max(1, COLUMN_BLOCK_BYTES // (8 * d)))
+    sq = workspace().take("diff", (d, rows))
+    plan = []
+    for sl in chunk_slices(n, rows):
+        block = sq[:, : sl.stop - sl.start]
+        plan.append((sl, xt[:, sl], block, *_fold_plan(block)))
 
-    __slots__ = ("_xt", "_rows", "_counter", "_cols", "_span")
-
-    def __init__(self, x: np.ndarray, cols: int, counter=None) -> None:
-        n, d = x.shape
-        self._xt = np.ascontiguousarray(x.T)
-        self._rows = min(n, max(1, COLUMN_BLOCK_BYTES // (8 * d)))
-        self._counter = counter
-        self._cols = int(cols)
-
-    def __enter__(self):
-        n = self._xt.shape[1]
-        self._span = _trace.block_span("kernels.gonzalez", rows=n, cols=self._cols)
-        self._span.__enter__()
-        return self.dists_to
-
-    def __exit__(self, *exc) -> None:
-        self._span.__exit__(*exc)
-
-    def dists_to(self, j: int) -> np.ndarray:
-        """Distances from every row to row ``j`` (a fresh vector)."""
-        xt = self._xt
-        d, n = xt.shape
-        if self._counter is not None:
-            self._counter.add(n)
-        sq = workspace().take("diff", (d, self._rows))
+    def step(j: int) -> np.ndarray:
+        if counter is not None:
+            counter.add(n)
         p = xt[:, j : j + 1]
         out = np.empty(n, dtype=np.float64)
-        for sl in chunk_slices(n, self._rows):
-            block = sq[:, : sl.stop - sl.start]
-            np.subtract(xt[:, sl], p, out=block)
+        for sl, cols, block, adds, lanes in plan:
+            np.subtract(cols, p, out=block)
             np.multiply(block, block, out=block)
-            _fold_columns(block, out[sl])
+            for acc, pair in adds:
+                np.add(acc, pair, out=acc)
+            if len(lanes) == 2:
+                np.add(lanes[0], lanes[1], out=out[sl])
+            else:
+                np.copyto(out[sl], lanes[0])
         np.sqrt(out, out=out)
         return out
+
+    return step
+
+
+def column_traversal(x: np.ndarray, cols: int, counter=None):
+    """A farthest-first traversal over ``x``, column-major.
+
+    Returns ``(step, span)``: :func:`_column_step`'s ``step(j)`` and the
+    traversal's ``kernels.gonzalez`` block span (``rows`` = n, ``cols`` =
+    the centers the traversal asks for), to hold open around the steps.
+    """
+    span = _trace.block_span("kernels.gonzalez", rows=x.shape[0], cols=int(cols))
+    return _column_step(x, counter), span
 
 
 def column_traversal_pays(n: int, d: int) -> bool:
@@ -484,7 +483,7 @@ def column_traversal_pays(n: int, d: int) -> bool:
 
 
 def column_fold_exact(d: int) -> bool:
-    """Whether :class:`ColumnTraversal` reproduces ``einsum``'s bits at ``d``.
+    """Whether the column-major step reproduces ``einsum``'s bits at ``d``.
 
     The fold order is a fact about the numpy build, not a guarantee, so
     the first call per ``d`` in a process runs a fixed-seed probe — mixed
@@ -501,7 +500,7 @@ def column_fold_exact(d: int) -> bool:
         x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
         x[1::4] = x[0] + 1e-9 * rng.normal(size=(len(x[1::4]), d))
         x[2::4] += 1e8
-        step = ColumnTraversal(x, 0).dists_to
+        step = _column_step(x)
         verdict = _FOLD_EXACT[d] = all(
             np.array_equal(step(j).view(np.int64), dists_to_point(x, x[j]).view(np.int64))
             for j in (0, 1, 2, n - 1)

@@ -429,14 +429,17 @@ def _contiguous_span(idx: np.ndarray) -> tuple[int, int] | None:
 
 
 def machine_view(
-    space: MetricSpace, idx: np.ndarray, counter: DistCounter | None = None
+    space: MetricSpace, idx: np.ndarray | range, counter: DistCounter | None = None
 ) -> MetricSpace:
     """The sub-space one simulated machine works on, with private accounting.
 
     A contiguous index range over a :class:`ChunkedMetricSpace` stays
     out-of-core (:meth:`ChunkedMetricSpace.range_view` over a stream
     slice — the sharded-input fast path, where the driver never gathers
-    coordinate data); any other combination materialises via
+    coordinate data).  A ``range`` of row ids (MRG's block shards) goes
+    to the space's ``range_view`` where it has one — for an in-memory
+    :class:`~repro.metric.euclidean.EuclideanSpace`, a zero-copy row
+    slice.  Any other combination materialises via
     :meth:`~repro.metric.base.MetricSpace.local`.  Either way the view
     gets its own private counter (``counter``, or a fresh lock-free
     :class:`~repro.metric.base.TaskCounter` — the view is owned by one
@@ -447,6 +450,10 @@ def machine_view(
     between the two paths (the store layer's parity contract).
     """
     counter = TaskCounter() if counter is None else counter
+    if isinstance(idx, range):
+        if idx.step == 1 and hasattr(space, "range_view"):
+            return space.range_view(idx.start, idx.stop, counter=counter)
+        idx = np.arange(idx.start, idx.stop, idx.step)
     idx = np.asarray(idx, dtype=np.intp)
     span = _contiguous_span(idx) if isinstance(space, ChunkedMetricSpace) else None
     if span is not None:

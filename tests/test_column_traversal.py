@@ -1,6 +1,6 @@
 """The column-major Gonzalez traversal against the row-major ``einsum`` one.
 
-:class:`~repro.metric.kernels.ColumnTraversal` is a fast path with a
+:func:`~repro.metric.kernels.column_traversal` is a fast path with a
 bit-for-bit contract: every center, selection radius and final distance
 must equal what the row-major step (:func:`dists_to_point`, the slow and
 readable reference) produces.  These tests sweep the dimensions and the
@@ -45,8 +45,14 @@ def threshold(d: int) -> int:
 
 def _column_major(self, cols):
     if kernels.column_fold_exact(self.dim):
-        return kernels.ColumnTraversal(self.points, cols, self.counter)
+        return kernels.column_traversal(self.points, cols, self.counter)
     return MetricSpace.traversal(self, cols)
+
+
+def runs_column_major(space, cols: int = 4) -> bool:
+    with mock.patch.object(kernels, "column_traversal", wraps=kernels.column_traversal) as spy:
+        space.traversal(cols)
+    return spy.called
 
 
 def both_paths(x: np.ndarray, k: int, first: int):
@@ -95,8 +101,7 @@ def test_sweep_d_and_block_boundaries(d):
 )
 def test_which_shapes_run_column_major(n, d, fast):
     space = EuclideanSpace(np.zeros((n, d)))
-    picked = isinstance(space.traversal(4), kernels.ColumnTraversal)
-    assert picked == (fast and kernels.column_fold_exact(d))
+    assert runs_column_major(space) == (fast and kernels.column_fold_exact(d))
 
 
 def test_probe_enables_every_d_on_the_recorded_build():
@@ -150,8 +155,8 @@ def test_adversarial_clouds_keep_the_bits(kind, n, d, k, seed):
     assert np.all(np.abs(fast.final_dists - want) <= 4 * np.spacing(want))
 
 
-def _front_to_back(sq: np.ndarray, out: np.ndarray) -> None:
-    np.sum(sq, axis=0, out=out)
+def _front_to_back(d: int) -> tuple[int, ...]:
+    return tuple(range(0, d, 2))
 
 
 def test_probe_mismatch_falls_back_to_einsum(monkeypatch):
@@ -159,9 +164,9 @@ def test_probe_mismatch_falls_back_to_einsum(monkeypatch):
     space = EuclideanSpace(x)
     want = gonzalez_trace(space, 6, first_center=0)
     monkeypatch.setattr(kernels, "_FOLD_EXACT", {})
-    monkeypatch.setattr(kernels, "_fold_columns", _front_to_back)
+    monkeypatch.setattr(kernels, "_pair_order", _front_to_back)
     assert not kernels.column_fold_exact(8)
-    assert not isinstance(space.traversal(6), kernels.ColumnTraversal)
+    assert not runs_column_major(space, 6)
     assert_same_bits(gonzalez_trace(space, 6, first_center=0), want)
 
 
@@ -185,7 +190,7 @@ def test_one_block_span_per_fast_traversal_and_none_on_einsum():
 def test_other_spaces_keep_the_row_major_step():
     x = np.random.default_rng(7).normal(size=(threshold(3), 3))
     chunked = ChunkedMetricSpace(x)
-    assert not isinstance(chunked.traversal(4), kernels.ColumnTraversal)
+    assert not runs_column_major(chunked)
     assert_same_bits(
         gonzalez_trace(chunked, 4, first_center=1),
         gonzalez_trace(EuclideanSpace(x), 4, first_center=1),

@@ -90,13 +90,10 @@ class TestRoundAccountingClaims:
 
 class TestHarnessEndToEnd:
     def test_small_experiment_table_and_checks(self):
-        # n is large enough that MRG's 4,000-row reducers, not its fixed
-        # per-task cost (~0.15 ms per task, two rounds), set its parallel
-        # time: at n=8000 a column-major GON traversal (~0.3 ms) ties it.
         spec = ExperimentSpec(
             name="mini",
             dataset="gau",
-            n=32000,
+            n=8000,
             ks=[2, 4],
             algorithms=[mrg_spec(m=8), eim_spec(m=8), gon_spec()],
             dataset_params={"k_prime": 4},

@@ -23,6 +23,7 @@ from repro.store import (
     GeneratorStream,
     MemmapStream,
     as_space,
+    machine_view,
 )
 
 CHUNK_SIZES = (1, 17, 64, 200, 1000)  # includes chunk=1 and chunk > n
@@ -294,3 +295,18 @@ class TestSingleRowReferenceChunks:
         ref.update_min_dists(a, None, None)
         cms.update_min_dists(b, None, None)
         assert np.array_equal(a, b)
+
+
+def test_range_machine_view_is_an_in_place_slice():
+    """A block shard passed as a ``range`` views its rows in place; an
+    index array over the same rows gathers them.  Same rows, same norms."""
+    space = EuclideanSpace(np.random.default_rng(3).normal(size=(100, 3)))
+    view = machine_view(space, range(10, 40))
+    gathered = machine_view(space, np.arange(10, 40))
+    assert np.shares_memory(view.points, space.points)
+    assert not np.shares_memory(gathered.points, space.points)
+    np.testing.assert_array_equal(view.points, gathered.points)
+    assert np.array_equal(view._sq.view(np.int64), gathered._sq.view(np.int64))
+    assert view.counter is not space.counter
+    with pytest.raises(MetricError):
+        machine_view(space, range(90, 110))
