@@ -49,20 +49,20 @@ __all__ = ["mrg"]
 
 
 def _gon_shard_task(
-    space: MetricSpace, shard: np.ndarray, k: int, bound: bool = False, *, seed=None
+    space: MetricSpace, shard: np.ndarray | range, k: int, bound: bool = False, *, seed=None
 ) -> TaskOutput:
     """One reducer: GON over a machine view of ``shard``; global center ids.
 
     ``shard`` is an index array, or a ``range`` of rows (a block shard of
-    round 1, viewed in place).  Top-level and argument-picklable (any executor backend); the machine
-    view's private counter rides back in the :class:`TaskOutput`.  A
-    contiguous shard of an out-of-core space stays out-of-core — the
-    round-1 partition of a sharded dataset never gathers ``(n, d)``
-    anywhere, driver or worker.  ``bound=True`` means ``space`` is
-    already this machine's view (see
-    :func:`repro.store.space._bind_views_eagerly`);
-    ``seed`` is keyword-only so :class:`~repro.mapreduce.tasks.TaskSpec`
-    can bind it per task.
+    round 1, viewed in place).  Top-level and argument-picklable (any
+    executor backend); the machine view's private counter rides back in
+    the :class:`TaskOutput`.  A contiguous shard of an out-of-core space
+    stays out-of-core — the round-1 partition of a sharded dataset never
+    gathers ``(n, d)`` anywhere, driver or worker.  ``bound=True`` means
+    ``space`` is already this machine's view (see
+    :func:`repro.store.space._bind_views_eagerly`); ``seed`` is
+    keyword-only so :class:`~repro.mapreduce.tasks.TaskSpec` can bind it
+    per task.
     """
     view = space if bound else machine_view(space, shard)
     try:

@@ -174,10 +174,13 @@ class EuclideanSpace(MetricSpace):
         """A space over ``self.points[rows]``: the rows were validated and
         their squared norms computed when this space was built, so
         neither is redone."""
+        if isinstance(rows, slice):
+            pts, sq = self.points[rows], self._sq[rows]
+        else:
+            pts, sq = self.points.take(rows, axis=0), self._sq.take(rows)
         sub = EuclideanSpace.__new__(EuclideanSpace)
-        pts = self.points[rows] if isinstance(rows, slice) else self.points.take(rows, axis=0)
         MetricSpace.__init__(sub, pts.shape[0], counter)
-        sub.points, sub._sq = pts, self._sq[rows]
+        sub.points, sub._sq = pts, sq
         sub.block_bytes = self.block_bytes
         sub._shared = None
         return sub
