@@ -19,11 +19,10 @@ import math
 
 import numpy as np
 
-from repro.errors import InvalidParameterError, TaskFailedError
+from repro.errors import InvalidParameterError
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.tasks import TaskOutput, TaskSpec, bind_round, commit
+from repro.mapreduce.tasks import TaskOutput, TaskSpec, dispatch
 from repro.metric.base import MetricSpace, TaskCounter
-from repro.obs import trace as _trace
 from repro.store.space import _bind_views_eagerly, machine_view
 from repro.utils.chunking import chunk_bounds
 
@@ -116,15 +115,15 @@ def evaluate_on(
         else:
             args = (space, start, stop, centers)
         specs.append(TaskSpec(_radius_task, args=args, counting="output"))
-    calls, sink = bind_round("evaluate", specs, executor=executor, cat="evaluate")
-    with _trace.span("evaluate", cat="evaluate", tasks=len(calls)):
-        try:
-            results, _, _ = executor.run(calls)
-        except TaskFailedError as exc:
-            if exc.label is None:
-                exc.label = "evaluate"
-            raise
-    radii = commit(results, specs, counter=cluster.dist_counter, sink=sink)
+    radii, _ = dispatch(
+        "evaluate",
+        specs,
+        executor,
+        cat="evaluate",
+        task_cat="evaluate",
+        counter=cluster.dist_counter,
+        tasks=len(specs),
+    )
     return max(radii, default=0.0)
 
 

@@ -79,9 +79,12 @@ class TaskFailedError(ReproError):
     attempts:
         Total attempts made (initial dispatch + retries).
     label:
-        The enclosing round's label when the failure happened inside a
-        :class:`~repro.mapreduce.cluster.SimulatedCluster` round,
-        ``None`` otherwise.
+        The unit of work that failed, stamped by
+        :func:`~repro.mapreduce.tasks.dispatch`: a round label
+        (``"mrg.reduce[1]"``), ``"evaluate"``, ``"solve_many"`` or
+        ``"{algorithm}.solo"``; ``None`` when a bare
+        :meth:`~repro.mapreduce.resilient.ResilientExecutor.run` raised
+        it.  The message leads with it when set.
     __cause__:
         The final attempt's underlying exception (standard chaining).
     """
@@ -97,3 +100,7 @@ class TaskFailedError(ReproError):
         self.task_index = task_index
         self.attempts = attempts
         self.label = label
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.label is None else f"{self.label}: {message}"

@@ -12,8 +12,9 @@ methodology exactly, plus the bookkeeping the paper's analysis needs:
   :class:`~repro.mapreduce.accounting.RoundStats`;
 * :mod:`~repro.mapreduce.tasks` — the task contract:
   :class:`~repro.mapreduce.tasks.TaskSpec` (picklable callable + args +
-  per-task seed + trace naming + counter policy), with the dispatch-side
-  binding and commit-side accounting every dispatch site shares;
+  per-task seed + trace naming + counter policy), and
+  :func:`~repro.mapreduce.tasks.dispatch`, the one path every dispatch
+  site runs its tasks through;
 * :mod:`~repro.mapreduce.partition` — the mapper-side partitioners
   (block / random / hash) with the size invariant ``|V_i| <= ceil(n/m)``;
 * :mod:`~repro.mapreduce.model` — the Karloff-et-al-style capacity
@@ -54,11 +55,7 @@ from repro.mapreduce.model import (
     mrg_feasible_two_rounds,
     mrg_rounds_needed,
 )
-from repro.mapreduce.resilient import (
-    FaultPolicy,
-    ResilientExecutor,
-    RoundFaultStats,
-)
+from repro.mapreduce.resilient import FaultPolicy, ResilientExecutor
 from repro.mapreduce.partition import (
     block_partition,
     hash_partition,
@@ -79,7 +76,6 @@ __all__ = [
     "ProcessPoolExecutorBackend",
     "ResilientExecutor",
     "FaultPolicy",
-    "RoundFaultStats",
     "Fault",
     "FaultInjector",
     "FaultSchedule",

@@ -49,6 +49,33 @@ class RoundStats:
     #: out of ``task_times`` so the paper-methodology timing is
     #: winners-only.
     wasted_task_seconds: float = 0.0
+    #: Speculative / duplicate copies launched, and faults injected by a
+    #: configured :class:`~repro.mapreduce.faults.FaultInjector`.
+    speculative_launches: int = 0
+    faults_injected: int = 0
+    #: Per-task breakdowns aligned with ``task_times``: each task's
+    #: committed distance evaluations, retries, speculative win (0 or 1)
+    #: and discarded wall-clock.  ``solve_many`` reads them for exact
+    #: per-run summaries.  Like the two counts above, they describe a
+    #: live round and are not part of the :meth:`to_dict` row.
+    task_dist_evals: list[int] = field(default_factory=list)
+    task_retries: list[int] = field(default_factory=list)
+    task_speculative_wins: list[int] = field(default_factory=list)
+    task_wasted_seconds: list[float] = field(default_factory=list)
+
+    @classmethod
+    def of_tasks(cls, task_times: list[float]) -> "RoundStats":
+        """An unlabelled round with zeroed per-task fault breakdowns —
+        what every :class:`~repro.mapreduce.executor.Executor` ``run``
+        returns; the dispatch path labels it and adds the evaluations."""
+        n = len(task_times)
+        return cls(
+            "",
+            task_times=task_times,
+            task_retries=[0] * n,
+            task_speculative_wins=[0] * n,
+            task_wasted_seconds=[0.0] * n,
+        )
 
     @property
     def n_tasks(self) -> int:
@@ -79,7 +106,8 @@ class RoundStats:
     # wire form: benchmark harnesses serialise per-round rows
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """Plain-JSON form; :meth:`from_dict` round-trips it exactly."""
+        """Plain-JSON row of the round's headline fields; :meth:`from_dict`
+        round-trips it exactly."""
         return {
             "label": self.label,
             "task_times": list(self.task_times),

@@ -20,23 +20,23 @@ cluster
   accounted on *every* executor backend, including process pools where
   worker-side counter mutations never reach the driver.
 
-The task contract itself — what a round task may be, how it is traced
-and how its accounting commits — lives in
-:mod:`repro.mapreduce.tasks`; ``run_round`` is one of its call sites
-(the facade's batch and solo dispatches are the others).
+The task contract itself — what a round task may be, how it is traced,
+run and committed — lives in :mod:`repro.mapreduce.tasks`, whose one
+:func:`~repro.mapreduce.tasks.dispatch` function ``run_round`` calls;
+``run_round`` adds only the capacity and machine-count checks, the
+round's place in :attr:`SimulatedCluster.stats` and the round metrics.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import CapacityError, InvalidParameterError, TaskFailedError
-from repro.mapreduce.accounting import JobStats, RoundStats
+from repro.errors import CapacityError, InvalidParameterError
+from repro.mapreduce.accounting import JobStats
 from repro.mapreduce.executor import Executor, SequentialExecutor
-from repro.mapreduce.tasks import TaskOutput, TaskSpec, bind_round, commit
+from repro.mapreduce.tasks import TaskOutput, TaskSpec, dispatch
 from repro.metric.base import DistCounter
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 __all__ = ["SimulatedCluster", "TaskOutput", "TaskSpec"]
 
@@ -140,43 +140,13 @@ class SimulatedCluster:
         for size in task_sizes:
             self.check_fits(int(size), what=f"round {label!r} task input")
 
-        specs = list(tasks)
-        calls, sink = bind_round(label, specs, executor=self.executor)
-
-        tracer = _trace.current_tracer()
-        evals_before = self.dist_counter.evals if self.dist_counter else 0
-        round_span = (
-            tracer.span(label, cat="round", tasks=len(calls))
-            if tracer is not None
-            else _trace.NULL_SPAN
+        results, round_stats = dispatch(
+            label, tasks, self.executor, counter=self.dist_counter, tasks=len(tasks)
         )
-        try:
-            with round_span:
-                results, times, faults = self.executor.run(calls)
-        except TaskFailedError as exc:
-            # A task exhausted its fault-tolerance budget: stamp the round
-            # so the error names the unit of work, not just an index.
-            if exc.label is None:
-                exc.label = label
-            raise
-        results = commit(results, specs, counter=self.dist_counter, sink=sink)
-        evals_after = self.dist_counter.evals if self.dist_counter else 0
-
-        round_stats = RoundStats(
-            label=label,
-            task_times=list(times),
-            task_sizes=[int(s) for s in task_sizes],
-            shuffle_elements=(
-                int(sum(task_sizes)) if shuffle_elements is None else int(shuffle_elements)
-            ),
-            dist_evals=evals_after - evals_before,
+        round_stats.task_sizes = [int(s) for s in task_sizes]
+        round_stats.shuffle_elements = (
+            int(sum(task_sizes)) if shuffle_elements is None else int(shuffle_elements)
         )
-        # A fault-tolerant executor (ResilientExecutor) returns what it
-        # absorbed this round; the bare backends return None.
-        if faults is not None:
-            round_stats.retries = faults.retries
-            round_stats.speculative_wins = faults.speculative_wins
-            round_stats.wasted_task_seconds = faults.wasted_task_seconds
         self.stats.add(round_stats)
         if _metrics.REGISTRY.enabled:
             # Bracketed suffixes ("mrg.round1[3]") are stripped so the
@@ -184,7 +154,7 @@ class SimulatedCluster:
             series = label.partition("[")[0]
             _M_ROUNDS.labels(round=series).inc()
             _M_ROUND_PARALLEL.labels(round=series).observe(round_stats.parallel_time)
-            _M_ROUND_TASKS.labels(round=series).observe(len(calls))
+            _M_ROUND_TASKS.labels(round=series).observe(len(tasks))
         return results
 
     def reset_stats(self) -> None:

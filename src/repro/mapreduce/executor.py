@@ -49,10 +49,13 @@ backend transparently re-opens on its next call.
 
 Every backend, the sequential one included, has the same surface:
 ``run``, ``submit``, ``open``, ``close``, ``workers`` and
-``crosses_process_boundary``.  ``submit`` is the per-task hook the
-resilient wrapper drives its one futures loop through; the sequential
-backend runs the task inline and hands back an already-completed
-future.
+``crosses_process_boundary``.  ``run`` returns the task results and the
+round's one :class:`~repro.mapreduce.accounting.RoundStats` record (the
+bare backends leave its fault fields zero; the resilient wrapper fills
+them).  ``submit`` is the per-task hook the resilient wrapper drives its
+one futures loop through; the sequential backend runs the task inline
+and hands back an already-completed future.  Nothing outside
+:func:`repro.mapreduce.tasks.dispatch` calls ``run``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, Protocol, Sequence
 
+from repro.mapreduce.accounting import RoundStats
+
 __all__ = [
     "Executor",
     "SequentialExecutor",
@@ -78,11 +83,12 @@ __all__ = [
 
 
 class Executor(Protocol):
-    """Runs a batch of zero-argument tasks; returns ``(results, seconds, faults)``.
+    """Runs a batch of zero-argument tasks; returns ``(results, round)``.
 
-    ``faults`` is the round's
-    :class:`~repro.mapreduce.resilient.RoundFaultStats` when the executor
-    is a :class:`~repro.mapreduce.resilient.ResilientExecutor`, ``None``
+    ``round`` is the batch's :class:`~repro.mapreduce.accounting.RoundStats`
+    (see :meth:`RoundStats.of_tasks`): per-task wall-clock in
+    ``task_times`` plus the fault accounting a
+    :class:`~repro.mapreduce.resilient.ResilientExecutor` fills in, zero
     from the bare backends.  ``submit`` runs one task and returns a
     ``concurrent.futures.Future`` of :func:`run_task`'s
     ``(result, seconds)``.  ``open``/``close`` (and the context manager)
@@ -97,7 +103,7 @@ class Executor(Protocol):
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float], Any]: ...
+    ) -> tuple[list[Any], RoundStats]: ...
 
     def submit(self, task: Callable[[], Any]) -> Future: ...
 
@@ -118,6 +124,11 @@ def _run_chunk(tasks: Sequence[Callable[[], Any]]) -> list[tuple[Any, float]]:
     return [run_task(task) for task in tasks]
 
 
+def _round(out: list[tuple[Any, float]]) -> tuple[list[Any], RoundStats]:
+    """Split ``(result, seconds)`` pairs into results and a round record."""
+    return [r for r, _ in out], RoundStats.of_tasks([t for _, t in out])
+
+
 class SequentialExecutor:
     """Run tasks one by one on the calling thread (paper methodology).
 
@@ -130,9 +141,8 @@ class SequentialExecutor:
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float], None]:
-        out = _run_chunk(tasks)
-        return [r for r, _ in out], [t for _, t in out], None
+    ) -> tuple[list[Any], RoundStats]:
+        return _round(_run_chunk(tasks))
 
     def submit(self, task: Callable[[], Any]) -> Future:
         """Run ``task`` now; return a completed future of ``(result, seconds)``.
@@ -248,9 +258,9 @@ class _PoolBackend:
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float], None]:
+    ) -> tuple[list[Any], RoundStats]:
         if not tasks:
-            return [], [], None
+            return _round([])
         self.open()
         size = self._chunksize(len(tasks))
         chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
@@ -264,7 +274,7 @@ class _PoolBackend:
             # pool instead of inheriting the corpse.
             self.close()
             raise
-        return [r for r, _ in out], [t for _, t in out], None
+        return _round(out)
 
 
 class ThreadPoolExecutorBackend(_PoolBackend):

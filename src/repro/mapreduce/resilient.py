@@ -41,12 +41,12 @@ its timeouts are post-hoc (an over-budget result is discarded and
 retried) and its ``duplicate`` clones always lose the dedup race.
 
 Accounting: each :meth:`ResilientExecutor.run` call is one *round*, and
-returns the round's :class:`RoundFaultStats` (retries, speculative
-launches/wins, wasted task-seconds) as the third element of its result.
-:meth:`~repro.mapreduce.cluster.SimulatedCluster.run_round` stamps them
-onto the round's :class:`~repro.mapreduce.accounting.RoundStats`;
-``solve_many`` folds the same numbers into its
-:class:`~repro.mapreduce.accounting.BatchSummary`.
+returns the same :class:`~repro.mapreduce.accounting.RoundStats` record
+as every backend, with its fault fields filled in (retries, speculative
+launches/wins, wasted task-seconds, injected faults, and the per-task
+breakdowns ``solve_many`` reads for exact per-run summaries).  When the
+round ends, failed or not, :meth:`ResilientExecutor._fold` adds it to
+``totals`` and to the ``repro_*`` fault counters: one fold feeds both.
 """
 
 from __future__ import annotations
@@ -56,17 +56,18 @@ import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.errors import InvalidParameterError, TaskFailedError
+from repro.mapreduce.accounting import RoundStats
 from repro.mapreduce.executor import Executor, SequentialExecutor
 from repro.mapreduce.faults import Fault, FaultInjector, apply_fault
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
-__all__ = ["FaultPolicy", "RoundFaultStats", "ResilientExecutor"]
+__all__ = ["FaultPolicy", "ResilientExecutor"]
 
 _M_RETRIES = _metrics.counter(
     "repro_task_retries_total", "Task attempts re-dispatched after a failure"
@@ -87,6 +88,15 @@ _M_FAULTS = _metrics.counter(
 )
 _M_POOL_RESTARTS = _metrics.counter(
     "repro_pool_restarts_total", "Worker pools dropped and reopened after breaking"
+)
+#: The round fields :meth:`ResilientExecutor._fold` adds up, and the
+#: counter each one feeds.
+_FOLDED = (
+    ("retries", _M_RETRIES),
+    ("speculative_launches", _M_SPEC_LAUNCHES),
+    ("speculative_wins", _M_SPEC_WINS),
+    ("wasted_task_seconds", _M_WASTED),
+    ("faults_injected", _M_FAULTS),
 )
 
 
@@ -149,45 +159,6 @@ class FaultPolicy:
     def retry_delay(self, retry_index: int) -> float:
         """Backoff before retry number ``retry_index`` (0-based)."""
         return self.backoff * self.backoff_factor**retry_index
-
-
-@dataclass
-class RoundFaultStats:
-    """Fault-tolerance accounting for one executor round.
-
-    ``wasted_task_seconds`` totals the wall-clock of every attempt whose
-    result did not make it into the round's output: failed attempts,
-    timed-out attempts (charged their timeout), and losing speculative /
-    duplicate copies — the price paid for resilience, kept separate from
-    the winners' ``task_times`` so the paper-methodology timing stays
-    clean.  The ``per_task_*`` lists align with the round's task order
-    (``solve_many`` uses them for exact per-run summaries).
-    """
-
-    retries: int = 0
-    speculative_launches: int = 0
-    speculative_wins: int = 0
-    wasted_task_seconds: float = 0.0
-    faults_injected: int = 0
-    per_task_retries: list[int] = field(default_factory=list)
-    per_task_speculative_wins: list[int] = field(default_factory=list)
-    per_task_wasted_seconds: list[float] = field(default_factory=list)
-
-    @classmethod
-    def for_tasks(cls, n: int) -> "RoundFaultStats":
-        return cls(
-            per_task_retries=[0] * n,
-            per_task_speculative_wins=[0] * n,
-            per_task_wasted_seconds=[0.0] * n,
-        )
-
-    def fold(self, other: "RoundFaultStats") -> None:
-        """Accumulate ``other``'s counters (per-task lists are not kept)."""
-        self.retries += other.retries
-        self.speculative_launches += other.speculative_launches
-        self.speculative_wins += other.speculative_wins
-        self.wasted_task_seconds += other.wasted_task_seconds
-        self.faults_injected += other.faults_injected
 
 
 class _Attempt(NamedTuple):
@@ -267,7 +238,10 @@ class ResilientExecutor:
         self.inner: Executor = inner if inner is not None else SequentialExecutor()
         self.policy = policy if policy is not None else FaultPolicy()
         self.faults = faults
-        self.totals = RoundFaultStats()
+        #: Running fold of every round's fault counts (failed rounds
+        #: included).  Only the scalar fields grow; its per-task lists
+        #: stay empty, so a long-lived server holds a fixed-size record.
+        self.totals = RoundStats("totals")
         # The serve scheduler drives one wrapper from several dispatch
         # threads at once: round numbering is an atomic counter and each
         # run returns its own stats, so concurrent batches cannot swap
@@ -305,28 +279,30 @@ class ResilientExecutor:
     # ------------------------------------------------------------------ #
     def run(
         self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float], RoundFaultStats]:
+    ) -> tuple[list[Any], RoundStats]:
         round_index = next(self._round_counter)
-        stats = RoundFaultStats.for_tasks(len(tasks))
+        stats = RoundStats.of_tasks([0.0] * len(tasks))
         if not tasks:
-            return [], [], stats
+            return [], stats
         try:
-            results, times = self._run(list(tasks), round_index, stats)
+            results = self._run(list(tasks), round_index, stats)
         finally:
-            with self._totals_lock:
-                self.totals.fold(stats)
-            if _metrics.REGISTRY.enabled:
-                if stats.retries:
-                    _M_RETRIES.inc(stats.retries)
-                if stats.speculative_launches:
-                    _M_SPEC_LAUNCHES.inc(stats.speculative_launches)
-                if stats.speculative_wins:
-                    _M_SPEC_WINS.inc(stats.speculative_wins)
-                if stats.wasted_task_seconds:
-                    _M_WASTED.inc(stats.wasted_task_seconds)
-                if stats.faults_injected:
-                    _M_FAULTS.inc(stats.faults_injected)
-        return results, times, stats
+            self._fold(stats)
+        return results, stats
+
+    def _fold(self, stats: RoundStats) -> None:
+        """Close one round's books and fold them into ``totals`` and the
+        fault counters — the only place either is written."""
+        stats.retries = sum(stats.task_retries)
+        stats.speculative_wins = sum(stats.task_speculative_wins)
+        stats.wasted_task_seconds = sum(stats.task_wasted_seconds)
+        emit = _metrics.REGISTRY.enabled
+        with self._totals_lock:
+            for name, metric in _FOLDED:
+                value = getattr(stats, name)
+                setattr(self.totals, name, getattr(self.totals, name) + value)
+                if emit and value:
+                    metric.inc(value)
 
     def _fault_for(self, round_index: int, task_index: int) -> Fault | None:
         if self.faults is None:
@@ -334,7 +310,7 @@ class ResilientExecutor:
         return self.faults.fault_for(round_index, task_index)
 
     def _wrapped(
-        self, task: Callable, fault: Fault | None, attempt: int, stats: RoundFaultStats
+        self, task: Callable, fault: Fault | None, attempt: int, stats: RoundStats
     ) -> Callable:
         """The callable for one attempt, fault applied if scheduled.
 
@@ -378,19 +354,18 @@ class ResilientExecutor:
             _M_POOL_RESTARTS.inc()
             return self.inner.submit(call)
 
-    def _run(
-        self, tasks: list, round_index: int, stats: RoundFaultStats
-    ) -> tuple[list[Any], list[float]]:
+    def _run(self, tasks: list, round_index: int, stats: RoundStats) -> list[Any]:
         """Dispatch every task, then react to attempts as they complete.
 
         Each ``wait`` batch is handled in (task, attempt) order, so the
-        round's outcome does not depend on set iteration order.
+        round's outcome does not depend on set iteration order.  Winners'
+        seconds land in ``stats.task_times``, the rest in its per-task
+        fault lists.
         """
         policy = self.policy
         tracer = _trace.current_tracer()
         n = len(tasks)
         results: list[Any] = [None] * n
-        times: list[float] = [0.0] * n
         resolved = [False] * n
         faults = [self._fault_for(round_index, i) for i in range(n)]
         attempts_launched = [0] * n
@@ -424,8 +399,7 @@ class ResilientExecutor:
             inflight.clear()
 
         def waste(idx: int, seconds: float) -> None:
-            stats.wasted_task_seconds += seconds
-            stats.per_task_wasted_seconds[idx] += seconds
+            stats.task_wasted_seconds[idx] += seconds
 
         def attempt_failed(att: _Attempt, seconds: float, exc: BaseException) -> None:
             """One attempt is gone; retry, defer to a live clone, or give up.
@@ -443,12 +417,11 @@ class ResilientExecutor:
                 return  # a clone already won; this loser just cost time
             if inflight_count[idx] > 0:
                 return  # another attempt is still running; let it race
-            retries = stats.per_task_retries[idx]
+            retries = stats.task_retries[idx]
             if retries >= policy.max_retries:
                 abandon_all()
                 raise self._exhausted(idx, retries + 1, exc) from exc
-            stats.retries += 1
-            stats.per_task_retries[idx] += 1
+            stats.task_retries[idx] += 1
             delay = policy.retry_delay(retries)
             if delay > 0:
                 time.sleep(delay)
@@ -507,10 +480,9 @@ class ResilientExecutor:
                     resolved[idx] = True
                     unresolved -= 1
                     results[idx] = value
-                    times[idx] = seconds
+                    stats.task_times[idx] = seconds
                     if att.speculative:
-                        stats.speculative_wins += 1
-                        stats.per_task_speculative_wins[idx] = 1
+                        stats.task_speculative_wins[idx] = 1
 
             if broken:
                 # The pool is a corpse: every other in-flight future is
@@ -603,7 +575,7 @@ class ResilientExecutor:
                 now - att.started, "outpaced", speculative=att.speculative,
             )
         inflight.clear()
-        return results, times
+        return results
 
     def _next_event_delay(
         self, inflight: dict, resolved: list[bool], clones: list[int]

@@ -1,11 +1,11 @@
 """The task contract: what may cross a ``run_round`` boundary.
 
-PRs 4-8 grew an *implicit* contract for dispatched work — tasks are
-picklable, bind their randomness as seeds before scheduling, count
-distance work into task-private counters, and report accounting through
-:class:`TaskOutput` so only the committed attempt of a retried or
-speculated task is ever folded.  This module makes the contract
-first-class and gives every dispatch site one codepath:
+Dispatched work follows one contract — tasks are picklable, bind their
+randomness as seeds before scheduling, count distance work into
+task-private counters, and report accounting through :class:`TaskOutput`
+so only the committed attempt of a retried or speculated task is ever
+folded.  This module makes the contract first-class and gives every
+dispatch site one codepath:
 
 * :class:`TaskSpec` — one unit of dispatched work: a **module-level**
   (hence picklable) callable plus bound arguments, an optional per-task
@@ -13,14 +13,13 @@ first-class and gives every dispatch site one codepath:
   rejected at construction, so a task that cannot cross a process (or
   future remote) boundary fails loudly at the solver, not lazily inside
   a pool worker.
-* :func:`bind_round` — the dispatch side.  Validates that every task is
-  a ``TaskSpec``, stamps the picklable
-  :class:`~repro.obs.trace.TaskTraceContext` when a tracer is ambient,
-  and returns executor-ready zero-argument callables.  Used by
-  :meth:`~repro.mapreduce.cluster.SimulatedCluster.run_round`, the
-  ``solve_many`` batch fan-out, and the facade's resilient solo path —
-  previously three hand-rolled copies of the same wrapping.
-* :func:`commit` — the commit side.  Unwraps :class:`TaskOutput`
+* :func:`dispatch` — the one path from a task list to committed values:
+  validate and trace-stamp the specs, open the site's span, run them,
+  label a :class:`~repro.errors.TaskFailedError`, commit, and return the
+  values plus the round's :class:`~repro.mapreduce.accounting.RoundStats`.
+  ``run_round``, the ``evaluate`` pass, ``solve_many`` and the facade's
+  resilient solo path all call it; nothing else calls ``Executor.run``.
+* :func:`commit` — its commit side.  Unwraps :class:`TaskOutput`
   results, folding worker-side distance counts into the watched counter
   and worker-side spans into the ambient tracer exactly once per task
   (the winning attempt's; losers are discarded upstream by
@@ -46,7 +45,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, TaskFailedError
+from repro.mapreduce.accounting import RoundStats
 from repro.mapreduce.executor import Executor
 from repro.obs import trace as _trace
 
@@ -54,9 +54,9 @@ __all__ = [
     "COUNTING",
     "TaskOutput",
     "TaskSpec",
-    "bind_round",
     "capture_specs",
     "commit",
+    "dispatch",
     "validate_task_callable",
 ]
 
@@ -78,8 +78,7 @@ class TaskOutput:
     into a *private* counter — the space may live in another process, so
     in-place mutation of a shared counter cannot work in general.
     Wrapping the result in a ``TaskOutput`` tells the commit side
-    (:func:`commit`, called by
-    :meth:`~repro.mapreduce.cluster.SimulatedCluster.run_round`) to fold
+    (:func:`commit`, called by :func:`dispatch`) to fold
     ``dist_evals`` back into the watched counter on the driver; callers
     receive the unwrapped ``value``.  Round accounting is then identical
     on sequential, thread and process backends.
@@ -223,25 +222,32 @@ def capture_specs():
 # ------------------------------------------------------------------ #
 # dispatch side
 # ------------------------------------------------------------------ #
-def bind_round(
+def dispatch(
     label: str,
     specs: Sequence[TaskSpec],
-    *,
     executor: Executor,
-    cat: str = "task",
-) -> tuple[list[Callable[[], Any]], Callable | None]:
-    """Validate the contract and return executor-ready callables.
+    *,
+    cat: str | None = "round",
+    task_cat: str = "task",
+    counter: Any = None,
+    **span_args: Any,
+) -> tuple[list[Any], RoundStats]:
+    """Run ``specs`` on ``executor``; return their values and the round record.
 
     Every element of ``specs`` must be a :class:`TaskSpec` — bare
     callables (the pre-contract closure style) raise
-    :class:`~repro.errors.InvalidParameterError`.  When a tracer is
-    ambient, each spec is wrapped with its picklable
-    :class:`~repro.obs.trace.TaskTraceContext`; the returned ``sink`` is
-    the tracer's live span callback when the executor stays in-process
-    (``None`` otherwise — live sinks are closures and cannot cross a
-    pickle boundary), and must be handed back to :func:`commit`.
-    ``cat`` is the task spans' category: ``"task"`` for round tasks,
-    ``"evaluate"`` for the evaluate pass, which is not a round.
+    :class:`~repro.errors.InvalidParameterError` before anything runs.
+    When a tracer is ambient, each spec is wrapped with its picklable
+    :class:`~repro.obs.trace.TaskTraceContext`: span ``"{label}[{i}]"``
+    (unless the spec names its own) of category ``task_cat``, streamed
+    live when the executor stays in-process.  The run sits inside span
+    ``label`` of category ``cat`` with ``span_args`` (``cat=None`` opens
+    none).  A :class:`~repro.errors.TaskFailedError` without a label
+    gets ``label``.  With a watched ``counter``, committed evaluations
+    fold into it and ``dist_evals`` is its delta over the run (tasks
+    sharing the counter count too); without, ``dist_evals`` sums the
+    tasks' :class:`TaskOutput` counts, which ``task_dist_evals`` holds
+    per task either way.
     """
     specs = list(specs)
     for index, spec in enumerate(specs):
@@ -257,28 +263,51 @@ def bind_round(
     captured = _CAPTURE.get()
     if captured is not None:
         captured.append((label, list(specs)))
+    calls, sink = specs, None
     tracer = _trace.current_tracer()
-    if tracer is None:
-        return list(specs), None
-    sink = None
-    if tracer.on_span is not None and not executor.crosses_process_boundary:
-        sink = tracer.on_span
-    calls = [
-        _trace.wrap_task(
-            spec,
-            _trace.TaskTraceContext(
-                run_id=tracer.run_id,
-                name=spec.name if spec.name is not None else f"{label}[{index}]",
-                index=index,
-                cat=cat,
-                detail=tracer.detail,
-                args=spec.trace_args if spec.trace_args else (("round", label),),
-            ),
-            sink,
-        )
-        for index, spec in enumerate(specs)
+    if tracer is not None:
+        # Live sinks are closures: they cannot cross a pickle boundary.
+        if tracer.on_span is not None and not executor.crosses_process_boundary:
+            sink = tracer.on_span
+        calls = [
+            _trace.wrap_task(
+                spec,
+                _trace.TaskTraceContext(
+                    run_id=tracer.run_id,
+                    name=spec.name if spec.name is not None else f"{label}[{index}]",
+                    index=index,
+                    cat=task_cat,
+                    detail=tracer.detail,
+                    args=spec.trace_args if spec.trace_args else (("round", label),),
+                ),
+                sink,
+            )
+            for index, spec in enumerate(specs)
+        ]
+    evals_before = counter.evals if counter is not None else 0
+    span = (
+        tracer.span(label, cat=cat, **span_args)
+        if tracer is not None and cat is not None
+        else _trace.NULL_SPAN
+    )
+    try:
+        with span:
+            results, stats = executor.run(calls)
+    except TaskFailedError as exc:
+        if exc.label is None:
+            exc.label = label
+        raise
+    stats.label = label
+    stats.task_dist_evals = [
+        r.dist_evals if isinstance(r, TaskOutput) else 0 for r in results
     ]
-    return calls, sink
+    values = commit(results, specs, counter=counter, sink=sink)
+    stats.dist_evals = (
+        counter.evals - evals_before
+        if counter is not None
+        else sum(stats.task_dist_evals)
+    )
+    return values, stats
 
 
 # ------------------------------------------------------------------ #

@@ -33,7 +33,11 @@ bit-identically (seeds bind per entry before dispatch).  A batch the
 policy cannot absorb is **isolation-split**: every coalesced request is
 re-dispatched alone, so one genuinely poisoned request fails with a
 structured error while its batch-mates still succeed — and the pool
-stays warm for the next batch either way.
+stays warm for the next batch either way.  A failure names its unit of
+work (``solve_many`` for a coalesced batch) in the ``E_INTERNAL``
+message.  The ``stats`` op's fault numbers read the warm executor's
+``totals``, the same fold that feeds the ``repro_task_retries_total``
+family of counters, so a scrape reports them once, as those counters.
 """
 
 from __future__ import annotations
@@ -104,17 +108,6 @@ _M_G_UPTIME = _metrics.gauge(
 )
 _M_G_PENDING = _metrics.gauge(
     "repro_serve_pending", "Requests admitted and not yet answered"
-)
-_M_G_RETRIES = _metrics.gauge(
-    "repro_serve_retries", "Task retries absorbed by the warm executor"
-)
-_M_G_SPEC_WINS = _metrics.gauge(
-    "repro_serve_speculative_wins",
-    "Tasks won by a speculative copy on the warm executor",
-)
-_M_G_WASTED = _metrics.gauge(
-    "repro_serve_wasted_task_seconds",
-    "Wall-clock seconds of discarded attempts on the warm executor",
 )
 
 
@@ -619,6 +612,3 @@ class BatchScheduler:
         snapshot = self.stats()
         _M_G_UPTIME.set(snapshot["uptime_seconds"])
         _M_G_PENDING.set(snapshot["pending"])
-        _M_G_RETRIES.set(snapshot["retries"])
-        _M_G_SPEC_WINS.set(snapshot["speculative_wins"])
-        _M_G_WASTED.set(snapshot["wasted_task_seconds"])

@@ -33,8 +33,10 @@ gathers the coordinates) are coerced via :func:`repro.store.as_space`.
 Every run the facade dispatches as a task — each :func:`solve_many`
 entry, and the resilient :func:`solve` of a single-machine solver — goes
 through :func:`_run_one`, which returns a
-:class:`~repro.mapreduce.tasks.TaskOutput` that
-:func:`~repro.mapreduce.tasks.commit` folds like any reducer task's.
+:class:`~repro.mapreduce.tasks.TaskOutput`, and through
+:func:`~repro.mapreduce.tasks.dispatch`, which commits it like any
+reducer task's and labels a failure ``solve_many`` or
+``{algorithm}.solo``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.core.result import KCenterResult
 from repro.errors import InvalidParameterError
 from repro.mapreduce.accounting import BatchSummary
 from repro.mapreduce.executor import Executor, SequentialExecutor
-from repro.mapreduce.tasks import TaskOutput, TaskSpec, bind_round, commit
+from repro.mapreduce.tasks import TaskOutput, TaskSpec, dispatch
 from repro.mapreduce.faults import FaultInjector
 from repro.mapreduce.resilient import FaultPolicy, ResilientExecutor
 from repro.metric.base import DistCounter, MetricSpace
@@ -233,7 +235,10 @@ def solve(
             # The whole run is one task on the shared contract:
             # `_run_one` gives each attempt a shadow space with a private
             # counter, so a retried run leaves no failed-attempt
-            # evaluations in the caller's books.
+            # evaluations in the caller's books.  Only the winning
+            # attempt commits, folding its evaluations into the caller's
+            # counter — the side effect a bare `spec.fn(space, ...)` call
+            # would have had.
             solo = TaskSpec(
                 _run_one,
                 args=(space, config.k, spec.name, kwargs),
@@ -241,16 +246,12 @@ def solve(
                 name=f"{spec.name}.solo",
                 trace_args=(("algorithm", spec.name),),
             )
-            calls, sink = bind_round(
-                f"{spec.name}.solo", [solo], executor=solo_resilient
-            )
-            (payload,), _, _ = solo_resilient.run(calls)
-            # Commit point: only the winning attempt survives the
-            # resilient dedup, and its evaluations fold into the caller's
-            # counter — the side effect a bare `spec.fn(space, ...)` call
-            # would have had.
-            (result,) = commit(
-                [payload], [solo], counter=space.counter, sink=sink
+            (result,), _ = dispatch(
+                f"{spec.name}.solo",
+                [solo],
+                solo_resilient,
+                cat=None,
+                counter=space.counter,
             )
     if _metrics.REGISTRY.enabled:
         _M_SOLVES.labels(algorithm=spec.name).inc()
@@ -509,33 +510,27 @@ def solve_many(
             )
             for i, (args, key) in enumerate(zip(tasks, keys))
         ]
-        calls, sink = bind_round("solve_many", specs, executor=backend)
-        with _trace.span("solve_many", cat="solve", runs=len(calls)):
-            outputs, times, fault_stats = backend.run(calls)
-    evals = [out.dist_evals for out in outputs]
-    results = commit(outputs, specs, sink=sink)
+        results, batch = dispatch(
+            "solve_many", specs, backend, cat="solve", runs=len(specs)
+        )
 
     emit = _metrics.REGISTRY.enabled
     run_summaries: dict[BatchKey, BatchSummary] = {}
-    for i, (key, result, seconds) in enumerate(zip(keys, results, times)):
-        stats = result.stats
+    for i, (key, result) in enumerate(zip(keys, results)):
+        seconds, evals = batch.task_times[i], batch.task_dist_evals[i]
         if emit:
             _M_SOLVES.labels(algorithm=names[i]).inc()
             _M_SOLVE_SECONDS.labels(algorithm=names[i]).observe(seconds)
-            _M_DIST_EVALS.labels(algorithm=names[i]).inc(evals[i])
+            _M_DIST_EVALS.labels(algorithm=names[i]).inc(evals)
         run_summaries[key] = BatchSummary(
             runs=1,
             parallel_time=seconds,
             cpu_time=seconds,
-            dist_evals=evals[i],
-            solver_rounds=stats.n_rounds if stats is not None else 0,
-            retries=fault_stats.per_task_retries[i] if fault_stats else 0,
-            speculative_wins=(
-                fault_stats.per_task_speculative_wins[i] if fault_stats else 0
-            ),
-            wasted_task_seconds=(
-                fault_stats.per_task_wasted_seconds[i] if fault_stats else 0.0
-            ),
+            dist_evals=evals,
+            solver_rounds=result.n_rounds,
+            retries=batch.task_retries[i],
+            speculative_wins=batch.task_speculative_wins[i],
+            wasted_task_seconds=batch.task_wasted_seconds[i],
         )
     summary = BatchSummary.merged(run_summaries.values())
     return BatchResults(zip(keys, results), summary, run_summaries)

@@ -169,6 +169,25 @@ class TestExhaustedBudget:
         assert excinfo.value.task_index == 0
         assert excinfo.value.attempts == 2
 
+    def test_failure_names_its_unit_of_work(self, spaces):
+        # One crash with no retry budget: the structured error names the
+        # dispatch that failed, on the solo path and the batch fan-out.
+        rows = spaces[400]
+
+        def doomed():
+            return {
+                "fault_policy": FaultPolicy(max_retries=0),
+                "fault_injector": FaultSchedule({(0, 0): Fault("crash")}),
+            }
+
+        with pytest.raises(TaskFailedError) as solo:
+            repro.solve(rows, 5, "gon", seed=3, **doomed())
+        assert solo.value.label == "gon.solo"
+        with pytest.raises(TaskFailedError) as batch:
+            repro.solve_many(rows, 5, ["gon"], seeds=[3], **doomed())
+        assert batch.value.label == "solve_many"
+        assert str(batch.value).startswith("solve_many: task 0 failed")
+
     def test_no_partial_result_escapes(self, spaces):
         # The counter side-effects of a doomed run must not leak into
         # the caller-visible space accounting beyond the failed round.

@@ -63,8 +63,8 @@ def run_resilient(backend_name, faults, policy=None, n_tasks=4, rounds=1):
         make_backend(backend_name), policy or FaultPolicy(), faults
     ) as executor:
         for _ in range(rounds):
-            values, times, faults_seen = executor.run(make_tasks(n_tasks))
-            assert len(values) == len(times) == n_tasks
+            values, faults_seen = executor.run(make_tasks(n_tasks))
+            assert len(values) == faults_seen.n_tasks == n_tasks
             results.append(values)
             stats.append(faults_seen)
         totals = executor.totals
@@ -77,7 +77,7 @@ class TestRetries:
         (values,), (stats,), _ = run_resilient(backend_name, faults)
         assert values == [0, 1, 4, 9]
         assert stats.retries == 1
-        assert stats.per_task_retries == [0, 1, 0, 0]
+        assert stats.task_retries == [0, 1, 0, 0]
         assert stats.faults_injected == 1
 
     def test_dropped_result_is_not_leaked(self, backend_name):
@@ -91,11 +91,11 @@ class TestRetries:
         with ResilientExecutor(
             make_backend(backend_name), FaultPolicy(), faults
         ) as executor:
-            values, _, stats = executor.run(tasks)
+            values, stats = executor.run(tasks)
         assert values == [0, 1, 4, 9]
         assert stats.retries == 1
         assert stats.wasted_task_seconds >= 0.05
-        assert stats.per_task_wasted_seconds[2] >= 0.05
+        assert stats.task_wasted_seconds[2] >= 0.05
 
     def test_every_task_crashing_once_still_completes(self, backend_name):
         faults = FaultSchedule({(None, None): Fault("crash")})
@@ -140,7 +140,7 @@ class TestTimeouts:
             make_backend(backend_name), policy, faults
         ) as executor:
             started = time.perf_counter()
-            values, _, stats = executor.run(make_tasks())
+            values, stats = executor.run(make_tasks())
             elapsed = time.perf_counter() - started
             # Timed inside the context: closing a pool waits for the
             # abandoned attempt's worker, and that wait is not latency
@@ -177,7 +177,7 @@ class TestSpeculation:
             # The clone completes at submit, after its primary, and each
             # batch is handled in (task, attempt) order: it always loses.
             assert stats.speculative_wins == 0
-            assert stats.per_task_wasted_seconds[3] > 0.0
+            assert stats.task_wasted_seconds[3] > 0.0
 
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_speculative_clone_beats_straggler(self, pool):
@@ -187,7 +187,7 @@ class TestSpeculation:
             make_backend(pool), policy, faults
         ) as executor:
             started = time.perf_counter()
-            values, _, stats = executor.run(make_tasks(2))
+            values, stats = executor.run(make_tasks(2))
             elapsed = time.perf_counter() - started
         assert values == [0, 1]
         assert stats.speculative_launches >= 1
@@ -232,12 +232,12 @@ class TestConcurrentCallers:
         def caller(n_tasks: int) -> list:
             returned = []
             for _ in range(4):
-                values, _, stats = executor.run(make_tasks(n_tasks))
+                values, stats = executor.run(make_tasks(n_tasks))
                 assert values == [i * i for i in range(n_tasks)]
-                assert len(stats.per_task_retries) == n_tasks
-                assert len(stats.per_task_speculative_wins) == n_tasks
-                assert len(stats.per_task_wasted_seconds) == n_tasks
-                assert sum(stats.per_task_retries) == stats.retries
+                assert len(stats.task_retries) == n_tasks
+                assert len(stats.task_speculative_wins) == n_tasks
+                assert len(stats.task_wasted_seconds) == n_tasks
+                assert sum(stats.task_retries) == stats.retries
                 returned.append(stats)
             return returned
 

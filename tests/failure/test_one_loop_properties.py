@@ -94,7 +94,7 @@ def run_rounds(backend, schedule, policy, n_tasks):
     for _ in range(ROUNDS):
         started = time.perf_counter()
         try:
-            values, times, stats = executor.run(
+            values, stats = executor.run(
                 [partial(square, i) for i in range(n_tasks)]
             )
         except TaskFailedError as exc:
@@ -107,20 +107,20 @@ def run_rounds(backend, schedule, policy, n_tasks):
             assert failed_round_retries >= policy.max_retries
             return seen, exc
         assert values == [i * i for i in range(n_tasks)]
-        assert len(times) == n_tasks
+        assert stats.n_tasks == n_tasks
         seen.append(stats)
     return seen, None
 
 
 def check_stats(stats, n_tasks):
-    assert len(stats.per_task_retries) == n_tasks
-    assert sum(stats.per_task_retries) == stats.retries
-    assert sum(stats.per_task_speculative_wins) == stats.speculative_wins
-    assert sum(stats.per_task_wasted_seconds) == pytest.approx(
+    assert len(stats.task_retries) == n_tasks
+    assert sum(stats.task_retries) == stats.retries
+    assert sum(stats.task_speculative_wins) == stats.speculative_wins
+    assert sum(stats.task_wasted_seconds) == pytest.approx(
         stats.wasted_task_seconds
     )
     assert stats.speculative_wins <= stats.speculative_launches
-    assert all(w >= 0.0 for w in stats.per_task_wasted_seconds)
+    assert all(w >= 0.0 for w in stats.task_wasted_seconds)
 
 
 def deterministic_part(stats):
@@ -130,9 +130,9 @@ def deterministic_part(stats):
         stats.speculative_launches,
         stats.speculative_wins,
         stats.faults_injected,
-        stats.per_task_retries,
-        stats.per_task_speculative_wins,
-        [w > 0.0 for w in stats.per_task_wasted_seconds],
+        stats.task_retries,
+        stats.task_speculative_wins,
+        [w > 0.0 for w in stats.task_wasted_seconds],
     )
 
 

@@ -6,8 +6,14 @@ Run from the repository root::
 
 Each entry pins what a solver returns on a fixed cloud: the centers,
 ``radius.hex()`` and the per-round ``dist_evals``, plus the greedy lower
-bound's ``hex()``.  ``tests/test_golden_bits.py`` recomputes every entry
-on the sequential backend and compares.  Regenerate only when a change
+bound's ``hex()``.  The ``kernels.*`` entries pin the distance kernels
+themselves by SHA-256 digest: ``kernels.min_dists`` and
+``EuclideanSpace.nearest`` (positions and distances) against the
+cloud's first ``K`` rows, and ``kernels.dists_to_point`` from its first
+row.  A reference set drawn from the cloud puts rows on both sides of
+the cancellation cut (``kernels.CANCEL_RTOL``), which no solver entry
+does.  ``tests/test_golden_bits.py`` recomputes every entry on the
+sequential backend and compares.  Regenerate only when a change
 is *meant* to move bits, and list each changed entry with its reason in
 ``CHANGES.md``.
 
@@ -19,6 +25,7 @@ near-duplicate cloud and one cloud offset by 1e8.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -27,6 +34,7 @@ import numpy as np
 import repro
 from repro.core.bounds import greedy_lower_bound
 from repro.mapreduce.executor import SequentialExecutor
+from repro.metric import kernels
 
 MANIFEST = pathlib.Path(__file__).with_name("bits.json")
 K = 10
@@ -55,7 +63,30 @@ def _cases() -> list[tuple[str, str, int, int]]:
                 cases.append(("eim", "gau", n, d))
     for kind, d in (("near-dup", 3), ("offset", 8)):
         cases += [(e, kind, 3000, d) for e in ("gon", "mrg", "eim", "lower_bound")]
+    for kind, d in (("gau", 3), ("gau", 8), ("near-dup", 3), ("offset", 8)):
+        cases += [(e, kind, 3000, d) for e in KERNELS]
     return cases
+
+
+#: Kernel entries; the names sort between the solver entries, so adding
+#: them only inserts lines into the manifest.
+KERNELS = ("kernels.dists_to_point", "kernels.min_dists", "kernels.nearest")
+
+
+def digest(values: np.ndarray) -> str:
+    """SHA-256 of an array's bytes (positions as int64, distances float64)."""
+    dtype = np.int64 if values.dtype.kind == "i" else np.float64
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=dtype).tobytes()).hexdigest()
+
+
+def kernel_entry(entry: str, x: np.ndarray) -> dict:
+    """Digests of one kernel's output on cloud ``x``."""
+    if entry == "kernels.dists_to_point":
+        return {"dists": digest(kernels.dists_to_point(x, x[0]))}
+    if entry == "kernels.min_dists":
+        return {"dists": digest(kernels.min_dists(x, x[:K]))}
+    pos, dist = repro.EuclideanSpace(x).nearest(None, np.arange(K))
+    return {"positions": digest(pos), "dists": digest(dist)}
 
 
 CASES = {f"{entry}/{kind}-{n}x{d}": (entry, kind, n, d) for entry, kind, n, d in _cases()}
@@ -64,6 +95,8 @@ CASES = {f"{entry}/{kind}-{n}x{d}": (entry, kind, n, d) for entry, kind, n, d in
 def compute(case_id: str) -> dict:
     """Recompute one manifest entry on the sequential backend."""
     entry, kind, n, d = CASES[case_id]
+    if entry in KERNELS:
+        return kernel_entry(entry, cloud(kind, n, d))
     space = repro.EuclideanSpace(cloud(kind, n, d))
     if entry == "lower_bound":
         return {"lower_bound": greedy_lower_bound(space, K).hex()}

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.mapreduce.accounting import BatchSummary
+from repro.mapreduce.accounting import BatchSummary, RoundStats
 from repro.mapreduce.executor import (
     ProcessPoolExecutorBackend,
     SequentialExecutor,
@@ -60,7 +60,7 @@ class TestPoolLifecycle:
         with ProcessPoolExecutorBackend(max_workers=2) as ex:
             pids = set()
             for _ in range(3):
-                results, _, _ = ex.run([partial(_sleep_pid, 0.02)] * 4)
+                results, _ = ex.run([partial(_sleep_pid, 0.02)] * 4)
                 pids.update(results)
         assert 1 <= len(pids) <= 2, pids
 
@@ -68,7 +68,7 @@ class TestPoolLifecycle:
         with ThreadPoolExecutorBackend(max_workers=2) as ex:
             idents = set()
             for _ in range(3):
-                results, _, _ = ex.run([_ident] * 4)
+                results, _ = ex.run([_ident] * 4)
                 idents.update(results)
         assert 1 <= len(idents) <= 2, idents
 
@@ -81,7 +81,7 @@ class TestPoolLifecycle:
         ex.close()
         ex.close()
         assert not ex.is_open
-        results, _, _ = ex.run([_ident])  # transparently re-opens
+        results, _ = ex.run([_ident])  # transparently re-opens
         assert ex.is_open and len(results) == 1
         ex.close()
 
@@ -108,7 +108,7 @@ class TestPoolLifecycle:
             assert inner is ex
         ex.open()
         ex.close()
-        assert ex.run([]) == ([], [], None)
+        assert ex.run([]) == ([], RoundStats.of_tasks([]))
 
     def test_backend_pickles_without_its_pool(self):
         import pickle
@@ -130,9 +130,9 @@ class TestPoolLifecycle:
     def test_chunked_submission_preserves_task_order(self):
         # 23 tasks on 2 workers go out in chunks of 3, the last one short.
         with ProcessPoolExecutorBackend(max_workers=2) as ex:
-            results, times, _ = ex.run([partial(int, i) for i in range(23)])
+            results, stats = ex.run([partial(int, i) for i in range(23)])
         assert results == list(range(23))
-        assert len(times) == 23 and all(t >= 0 for t in times)
+        assert stats.n_tasks == 23 and all(t >= 0 for t in stats.task_times)
 
     def test_mrg_job_spawns_one_pool_across_rounds(self, space):
         """A multi-round MRG job must not respawn between rounds."""
@@ -321,7 +321,7 @@ class TestWorkspace:
         def task():
             return kernels.min_dists(x, y)
 
-        results, _, _ = ThreadPoolExecutorBackend(max_workers=8).run([task] * 32)
+        results, _ = ThreadPoolExecutorBackend(max_workers=8).run([task] * 32)
         for got in results:
             assert np.array_equal(got, expected)
 

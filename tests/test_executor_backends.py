@@ -11,6 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.mapreduce.accounting import RoundStats
 from repro.mapreduce.executor import (
     ProcessPoolExecutorBackend,
     SequentialExecutor,
@@ -42,21 +43,21 @@ class TestProtocolContract:
         # partial over a module-level function: picklable, so the same
         # task list drives all three backends.
         tasks = [partial(_double, i) for i in range(20)]
-        results, times, faults = factory().run(tasks)
-        assert results == [2 * i for i in range(20)] and faults is None
-        assert len(times) == 20
-        assert all(t >= 0 for t in times)
+        results, stats = factory().run(tasks)
+        assert results == [2 * i for i in range(20)] and stats.retries == 0
+        assert stats.n_tasks == 20 and stats.task_retries == [0] * 20
+        assert all(t >= 0 for t in stats.task_times)
 
     @pytest.mark.parametrize("name,factory", BACKENDS)
     def test_empty_batch(self, name, factory):
-        assert factory().run([]) == ([], [], None)
+        assert factory().run([]) == ([], RoundStats.of_tasks([]))
 
     def test_thread_backend_runs_unpicklable_tasks(self):
         # Closures over local state cannot cross a process boundary but
         # must be fine on the shared-memory thread backend.
         acc = []
         tasks = [lambda i=i: acc.append(i) or i for i in range(8)]
-        results, _, _ = ThreadPoolExecutorBackend(max_workers=4).run(tasks)
+        results, _ = ThreadPoolExecutorBackend(max_workers=4).run(tasks)
         assert results == list(range(8))
         assert sorted(acc) == list(range(8))
 
@@ -124,7 +125,7 @@ class TestSharedCounterUnderThreads:
                 counter.add(1)
             return True
 
-        results, _, _ = ThreadPoolExecutorBackend(max_workers=8).run(
+        results, _ = ThreadPoolExecutorBackend(max_workers=8).run(
             [hammer for _ in range(tasks)]
         )
         assert all(results)

@@ -3,11 +3,12 @@
 Every other bit check compares two paths of the *same* numpy build; this
 one compares against bits recorded once, so a kernel change that moves
 a radius by one ulp fails here even when every same-build parity test
-passes.  Centers and per-round ``dist_evals`` are checked on every host.
-Radius and lower-bound bits depend on how the numpy build rounds
-(``einsum``'s lane order follows its SIMD baseline), so they are
-checked only where the recorded numpy version and SIMD baseline match;
-elsewhere the test is skipped with the mismatch named.
+passes.  Centers, per-round ``dist_evals`` and nearest-center positions
+are checked on every host.  Radius, lower-bound and kernel-distance bits
+depend on how the numpy build rounds (``einsum``'s lane order follows
+its SIMD baseline), so they are checked only where the recorded numpy
+version and SIMD baseline match; elsewhere the test is skipped with the
+mismatch named.
 
 Regenerate with ``tests/golden/regenerate_bits.py`` — never from a
 test.
@@ -45,8 +46,8 @@ def test_manifest_covers_every_case():
 @pytest.mark.parametrize("case_id", sorted(ENTRIES))
 def test_centers_and_dist_evals(case_id):
     want, got = ENTRIES[case_id], recomputed(case_id)
-    assert got.get("centers") == want.get("centers")
-    assert got.get("dist_evals") == want.get("dist_evals")
+    for key in ("centers", "dist_evals", "positions"):
+        assert got.get(key) == want.get(key), key
 
 
 @pytest.mark.parametrize("case_id", sorted(ENTRIES))
@@ -55,5 +56,5 @@ def test_float_bits(case_id):
     if mismatch:
         pytest.skip(f"float bits recorded on another build: {mismatch}")
     want, got = ENTRIES[case_id], recomputed(case_id)
-    for key in ("radius", "lower_bound"):
+    for key in ("radius", "lower_bound", "dists"):
         assert got.get(key) == want.get(key), key

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.errors import CapacityError, InvalidParameterError
+from repro.mapreduce.accounting import RoundStats
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.executor import (
     ProcessPoolExecutorBackend,
@@ -132,21 +133,21 @@ class TestExecutors:
         assert result == 42 and seconds >= 0.0
 
     def test_sequential_order_and_times(self):
-        results, times, faults = SequentialExecutor().run([lambda: "a", lambda: "b"])
-        assert results == ["a", "b"] and faults is None
-        assert len(times) == 2 and all(t >= 0 for t in times)
+        results, stats = SequentialExecutor().run([lambda: "a", lambda: "b"])
+        assert results == ["a", "b"] and stats.task_retries == [0, 0]
+        assert stats.n_tasks == 2 and all(t >= 0 for t in stats.task_times)
 
     def test_sequential_empty(self):
-        assert SequentialExecutor().run([]) == ([], [], None)
+        assert SequentialExecutor().run([]) == ([], RoundStats.of_tasks([]))
 
     def test_process_pool_empty(self):
-        assert ProcessPoolExecutorBackend().run([]) == ([], [], None)
+        assert ProcessPoolExecutorBackend().run([]) == ([], RoundStats.of_tasks([]))
 
     def test_process_pool_runs_picklable_tasks(self):
         backend = ProcessPoolExecutorBackend(max_workers=2)
-        results, times, _ = backend.run([_picklable_task_3, _picklable_task_4])
+        results, stats = backend.run([_picklable_task_3, _picklable_task_4])
         assert results == [9, 16]
-        assert len(times) == 2
+        assert stats.n_tasks == 2
 
 
 def _picklable_task_3():

@@ -22,6 +22,7 @@ from repro.mapreduce.faults import ALWAYS, Fault, FaultSchedule
 from repro.serve import (
     E_BAD_JSON,
     E_BAD_REQUEST,
+    E_INTERNAL,
     E_INVALID_PARAMETER,
     E_OVERLOADED,
     E_TIMEOUT,
@@ -454,6 +455,22 @@ class TestFaultTolerance:
                 continue
             direct = repro.solve(rows, k, algo, seed=seed, **opts)
             _assert_result_matches(responses[req_id]["result"], direct)
+
+    def test_exhausted_request_error_names_the_batch(self, rows):
+        config = ServeConfig(
+            backend="sequential",
+            fault_retries=0,
+            fault_injector=FaultSchedule({(None, 0): Fault("crash")}),
+        )
+        with ServerHandle(config) as h, h.client() as client:
+            response = client.solve(
+                "gon", 3, points=rows, seed=1, raise_on_error=False
+            )
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_INTERNAL
+        assert "TaskFailedError: solve_many: task 0" in (
+            response["error"]["message"]
+        )
 
     def test_worker_death_in_process_batch_recovers(self, rows):
         # The real thing: a process-pool worker dies mid-batch
