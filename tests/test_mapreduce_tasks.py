@@ -54,7 +54,7 @@ def _capture_all(algorithm: str):
 
     MapReduce solvers fan out through ``run_round``; single-machine
     solvers go through the ``solve_many`` batch path — both funnel into
-    ``bind_round``, so the capture hook sees every task that would cross
+    ``dispatch``, so the capture hook sees every task that would cross
     an executor boundary.
     """
     n, k, opts = CASES[algorithm]
