@@ -52,7 +52,7 @@ mutating driver state from inside a task.  A retried or speculatively
 duplicated task therefore reproduces its first execution bit for bit, the
 round's ``dist_evals`` stay exact under any absorbed fault, and the same
 task list runs unchanged on sequential, thread and process backends —
-in-memory coordinates cross the process boundary once per job through
+in-memory coordinates cross the process boundary once per space through
 the shared-memory transport, exactly like MRG/MRHS.
 """
 
@@ -312,7 +312,7 @@ def eim(
     seeds = SeedStream(seed)
 
     # Same zero-copy scope as MRG/MRHS: in-memory coordinates published
-    # once per job for process-pool rounds (repro.store.shm); every task
+    # once per space for process-pool rounds (repro.store.shm); every task
     # below binds ``task_space``, which pickles as a ~100-byte handle
     # inside the scope and is the space itself otherwise.
     with wall, shared_space(space, cluster.executor) as task_space:

@@ -132,7 +132,7 @@ def mr_hochbaum_shmoys(
     radius = 0.0
 
     # Same zero-copy scope as MRG: in-memory coordinates published once
-    # per job for process-pool rounds (repro.store.shm).
+    # per space for process-pool rounds (repro.store.shm).
     with wall, shared_space(space, cluster.executor) as task_space:
         n_machines = min(m, n)
         try:

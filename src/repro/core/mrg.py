@@ -166,10 +166,10 @@ def mrg(
     eval_timer = Timer()
     radius = float("nan")
 
-    # Publish the in-memory coordinate block once per job when the rounds
-    # run in a process pool: reducer tasks then pickle a shared-memory
-    # handle instead of their shard's rows (repro.store.shm).  The segment
-    # lives exactly as long as the job, error paths included.
+    # Publish the in-memory coordinate block (once per space) when the
+    # rounds run in a process pool: reducer tasks then pickle a
+    # shared-memory handle instead of their shard's rows (repro.store.shm).
+    # The segment lives as long as the space, so later solves reuse it.
     with wall, shared_space(space, cluster.executor) as task_space:
         current = range(n)
         reduction_rounds = 0

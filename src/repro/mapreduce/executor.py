@@ -314,5 +314,16 @@ class ProcessPoolExecutorBackend(_PoolBackend):
     _pool_factory = ProcessPoolExecutor
     crosses_process_boundary = True
 
+    def _make_pool(self):
+        # Workers forked before the driver's resource tracker starts each
+        # start their own on their first shared-memory attach; at worker
+        # exit that tracker unlinks the driver's still-published segments
+        # (Python < 3.13).  Started first, the tracker is shared instead.
+        if os.name == "posix":
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        return super()._make_pool()
+
     def _chunksize(self, n_tasks: int) -> int:
         return max(1, math.ceil(n_tasks / (4 * self.workers)))

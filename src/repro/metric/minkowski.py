@@ -8,13 +8,13 @@ p >= 1) and lets downstream users cluster under city-block or Chebyshev
 geometry.
 
 Block distances go through :func:`scipy.spatial.distance.cdist`, chunked to
-the same byte budget as the Euclidean GEMM path.
+the same byte budget as the Euclidean GEMM path.  ``scipy`` is imported on
+first use, so importing :mod:`repro` does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.errors import MetricError
 from repro.metric import kernels
@@ -69,6 +69,13 @@ class MinkowskiSpace(MetricSpace):
         return self.points if idx is None else self.points[idx]
 
     def _cdist(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        try:
+            from scipy.spatial.distance import cdist
+        except ImportError as exc:
+            raise MetricError(
+                "MinkowskiSpace needs scipy (scipy.spatial.distance.cdist); "
+                "install scipy to use it"
+            ) from exc
         if np.isinf(self.p):
             return cdist(x, y, metric="chebyshev")
         if self.p == 1.0:

@@ -16,7 +16,7 @@ plain ``dict`` plus a ``summary`` roll-up
 evaluations, parallel vs cpu time across the batch).
 Pool backends are persistent, so back-to-back batches on one executor
 reuse its workers; for process backends the input space's in-memory
-coordinates are additionally published once per batch to shared memory
+coordinates are additionally published once per space to shared memory
 (:func:`repro.store.shm.shared_space`) and workers attach by name
 instead of unpickling the rows per task.
 
@@ -495,8 +495,8 @@ def solve_many(
             names.append(spec.name)
             tasks.append((config.k, spec.name, config.kwargs_for(spec)))
 
-    # Publish the space once per batch when the fan-out crosses a process
-    # boundary: every task then pickles a shared-memory handle instead of
+    # Publish the space (once per space, reused across batches) when the
+    # fan-out crosses a process boundary: every task then pickles a shared-memory handle instead of
     # the coordinate rows (no-op for sequential/thread backends and
     # out-of-core spaces, which already cross by reference).
     with shared_space(space, backend) as task_space:

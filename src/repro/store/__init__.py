@@ -24,7 +24,7 @@ arrays are the one thing the rest of the package assumed to be resident.
     in-memory Euclidean space, with bounded memory.
 :func:`~repro.store.shm.shared_space` / :class:`~repro.store.shm.SharedPoints`
     Zero-copy transport of *in-memory* spaces into process-pool
-    workers: coordinates published once to ``multiprocessing``
+    workers: coordinates published once per space to ``multiprocessing``
     shared memory (temp-``.npy`` spill fallback), workers attach by
     name instead of unpickling the rows per task.
 

@@ -4,7 +4,7 @@ The process backend pickles every task, and a task over an in-memory
 :class:`~repro.metric.euclidean.EuclideanSpace` used to drag the space's
 ``(rows, d)`` coordinate bytes through the pipe — once per task, every
 round.  This module removes the copy: the driver **publishes** the
-coordinate block once per job into a named
+coordinate block once per space into a named
 :mod:`multiprocessing.shared_memory` segment, and the space then pickles
 as a tiny :class:`SharedPoints` *handle*; workers attach to the segment
 by name and map the same physical pages read-only.  Out-of-core spaces
@@ -15,11 +15,17 @@ boundary by reference, never by value.
 
 Mechanics and guarantees:
 
-* **Publish once, attach once.**  :func:`shared_space` publishes at job
-  start and unlinks in its ``finally``; workers cache attachments per
-  process (a small LRU), so a 50-task round costs 50 handle pickles
-  (~100 bytes each) and at most one attach + one squared-norm pass per
-  worker — not 50 coordinate copies.
+* **Publish once per space, attach once per worker.**  The first
+  process-pool solve on a space publishes its block; later solves, the
+  evaluate pass and batches on the same space reuse that publication,
+  which lives as long as the space does.  Workers cache attachments per
+  process, so a 50-task round costs 50 handle pickles (~100 bytes each)
+  and at most one attach + one squared-norm pass per worker per space —
+  not 50 coordinate copies, and not one publication per solve.
+* **Immutable once published.**  The segment is a snapshot of
+  ``space.points`` taken at the first process-pool solve; coordinates
+  must not change afterwards (``EuclideanSpace`` may share the caller's
+  array, and its cached norms and ``fingerprint`` assume the same).
 * **Same bits.**  The segment holds the exact float64 bytes of
   ``space.points``; workers recompute the cached squared norms with the
   same ``einsum`` the driver ran, so every kernel sees identical inputs
@@ -31,11 +37,14 @@ Mechanics and guarantees:
   copy on disk instead of one per task.  ``REPRO_SHM_TRANSPORT=spill``
   forces the fallback; ``REPRO_SHM_TRANSPORT=off`` disables publishing
   entirely (the solvers then revert to shipping prebuilt machine views).
-* **Cleanup.**  The driver owns the segment: handles unpublish in the
-  job's ``finally`` and an ``atexit`` sweep catches anything a crashed
-  run left behind.  Attached workers keep their mapping valid after the
-  unlink (POSIX semantics); their cached attachments are dropped LRU-so
-  long-lived persistent pools do not accumulate dead segments.
+  A publication made under another mode is replaced at the next solve.
+* **Cleanup.**  The driver owns the segment: a ``weakref.finalize`` on
+  the space unpublishes it when the space dies, and an ``atexit`` sweep
+  catches anything left at interpreter exit.  Attached workers keep
+  their mapping valid after the unlink (POSIX semantics); each time a
+  worker attaches a new block it first drops cached attachments whose
+  backing is gone, so a dead segment stays mapped in a long-lived pool
+  only until that worker's next new attach.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ import atexit
 import copy
 import os
 import tempfile
+import threading
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,10 +68,10 @@ __all__ = ["SharedPoints", "publish_points", "shared_space", "transport_mode"]
 #: temp-file fallback) or ``off`` (never publish).
 _ENV = "REPRO_SHM_TRANSPORT"
 
-#: Worker-side attachment cache size (segments, not bytes).  A worker in
-#: a long-lived persistent pool sees one segment per job; keeping a few
-#: lets interleaved batches share attachments while bounding how long a
-#: dead segment's pages stay mapped.
+#: Worker-side attachment cache size (segments, not bytes).  A worker
+#: sees one segment per live space; dead ones are dropped at the next
+#: new attach, so this bound only caps how many *live* spaces a worker
+#: keeps mapped at once (least recently used goes first).
 _MAX_ATTACHED = 8
 
 # name/path -> cache entry {"points": ndarray, "sq": ndarray | None, "seg": ...}
@@ -68,6 +79,12 @@ _attached: OrderedDict[str, dict] = OrderedDict()
 
 # token -> SharedMemory segment published (and so owned) by this process.
 _published: dict[str, object] = {}
+
+# id(space) -> (mode, handle, finalizer) for each space this process has
+# published; the finalizer removes the entry when the space dies, so an
+# id is never looked up after it could be reused.
+_by_space: dict[int, tuple[str, "SharedPoints", weakref.finalize]] = {}
+_by_space_lock = threading.RLock()
 
 
 def transport_mode() -> str:
@@ -164,6 +181,7 @@ class SharedPoints:
         if entry is not None:
             _attached.move_to_end(self.token)
             return entry
+        _drop_dead_attachments()
         if self.kind == "shm":
             seg = _attach_segment(self.token)
             points = np.ndarray(self.shape, dtype=np.float64, buffer=seg.buf)
@@ -174,13 +192,7 @@ class SharedPoints:
         entry = {"points": points, "sq": None, "seg": seg}
         _attached[self.token] = entry
         while len(_attached) > _MAX_ATTACHED:
-            _, old = _attached.popitem(last=False)
-            seg_old = old.get("seg")
-            if seg_old is not None:
-                try:
-                    seg_old.close()
-                except BufferError:  # pragma: no cover - still referenced
-                    pass  # a task still holds views; GC reclaims later
+            _detach(_attached.popitem(last=False)[1])
         return entry
 
     # ------------------------------------------------------------------ #
@@ -191,8 +203,8 @@ class SharedPoints:
 
         Unlinks the shared-memory segment or deletes the spill file.
         Workers that already attached keep a valid mapping (POSIX keeps
-        the pages until the last map closes); new attachments fail, as
-        they should once the job is over.
+        the pages until the last map closes); new attachments fail, and
+        each worker drops its stale attachment at its next new attach.
         """
         if self.kind == "shm":
             seg = _published.pop(self.token, None)
@@ -210,7 +222,37 @@ class SharedPoints:
                 pass
         # Drop any local attachment too (the driver may have round-tripped
         # its own handle through a sequential fallback).
-        _attached.pop(self.token, None)
+        entry = _attached.pop(self.token, None)
+        if entry is not None:
+            _detach(entry)
+
+
+def _backing_exists(token: str, entry: dict) -> bool:
+    """Whether the owner still publishes ``token`` (a cached attachment)."""
+    if entry["seg"] is None:
+        return os.path.exists(token)
+    try:
+        _attach_segment(token).close()
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def _drop_dead_attachments() -> None:
+    """Forget cached attachments whose owner has unpublished them."""
+    for token in [t for t, e in _attached.items() if not _backing_exists(t, e)]:
+        _detach(_attached.pop(token))
+
+
+def _detach(entry: dict) -> None:
+    """Release one cached attachment's views and mapping."""
+    seg = entry["seg"]
+    entry.clear()  # drop this cache's views first so the mapping can close
+    if seg is not None:
+        try:
+            seg.close()
+        except BufferError:  # pragma: no cover - a task still holds views
+            pass  # GC closes the mapping with the last view
 
 
 def publish_points(points: np.ndarray) -> SharedPoints | None:
@@ -220,7 +262,7 @@ def publish_points(points: np.ndarray) -> SharedPoints | None:
     under ``REPRO_SHM_TRANSPORT=spill``, into a temporary ``.npy``) and
     returns the handle — or ``None`` when the transport is disabled.
     The caller owns the handle and must :meth:`~SharedPoints.unpublish`
-    it (use :func:`shared_space` for scoped ownership).
+    it (:func:`shared_space` ties it to a space's lifetime instead).
     """
     mode = transport_mode()
     if mode == "off":
@@ -286,6 +328,44 @@ def _publishable(space) -> bool:
     return isinstance(space, (EuclideanSpace, MinkowskiSpace))
 
 
+def _publication(space) -> SharedPoints | None:
+    """``space``'s publication under the active mode, made on first use.
+
+    A publication made under another mode is retired and replaced; one
+    made under the active mode is reused until the space dies.
+    """
+    mode = transport_mode()
+    if mode == "off":
+        return None
+    key = id(space)
+    with _by_space_lock:
+        held = _by_space.get(key)
+        if held is not None:
+            if held[0] == mode:
+                return held[1]
+            held[2]()  # retire the other mode's publication now
+        # Called through the module global so a wrapper patched onto
+        # ``publish_points`` sees every publication.
+        handle = publish_points(space.points)
+        if handle is not None:
+            done = weakref.finalize(space, _retire, key, handle, os.getpid())
+            _by_space[key] = (mode, handle, done)
+        return handle
+
+
+def _retire(key: int, handle: SharedPoints, owner: int) -> None:
+    """Unpublish a dead (or superseded) space's block, owner process only.
+
+    A forked worker inherits the registry and the finalizers; the block
+    is the driver's, so they must never unlink it.
+    """
+    if os.getpid() != owner:
+        return
+    with _by_space_lock:
+        _by_space.pop(key, None)
+    handle.unpublish()
+
+
 @contextmanager
 def shared_space(space, executor) -> Iterator:
     """Scope in which ``space`` crosses process boundaries by reference.
@@ -295,23 +375,19 @@ def shared_space(space, executor) -> Iterator:
     whose pickling ships a :class:`SharedPoints` handle instead of the
     coordinate rows; otherwise yields ``space`` unchanged (sequential and
     thread backends share memory natively, out-of-core spaces re-open
-    their backing).  The published segment lives exactly as long as the
-    ``with`` block — error paths included — which is the solver-job /
-    batch lifetime.
+    their backing).  The block is published at the first such scope and
+    reused by every later one on the same space; it is unpublished when
+    the space dies, not when the scope ends, so ``space`` itself still
+    pickles its rows and its coordinates must not change once published.
     """
-    handle = None
     out = space
     if (
         executor.crosses_process_boundary
         and _publishable(space)
         and getattr(space, "_shared", None) is None
     ):
-        handle = publish_points(space.points)
+        handle = _publication(space)
         if handle is not None:
             out = copy.copy(space)
             out._shared = handle
-    try:
-        yield out
-    finally:
-        if handle is not None:
-            handle.unpublish()
+    yield out

@@ -5,6 +5,11 @@ algorithms only ever talk to the MetricSpace interface, so all concrete
 spaces must behave identically up to the metric itself).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -164,6 +169,24 @@ class TestMinkowskiSpecifics:
         m = MinkowskiSpace(pts, p=2.0)
         j = np.array([1, 5], dtype=np.intp)
         np.testing.assert_allclose(e.min_dists(None, j), m.min_dists(None, j), atol=1e-7)
+
+    def test_import_loads_no_scipy(self):
+        # scipy is MinkowskiSpace's alone: importing the package and its
+        # CLI (the server's start-up path) must not pay for it.
+        code = (
+            "import sys, repro, repro.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded[:5]\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_missing_scipy_is_a_metric_error(self, rng, monkeypatch):
+        space = MinkowskiSpace(rng.normal(size=(6, 2)), p=1.0)
+        monkeypatch.setitem(sys.modules, "scipy.spatial.distance", None)
+        with pytest.raises(MetricError, match="scipy"):
+            space.cross(np.arange(2), np.arange(2, 4))
 
 
 class TestPrecomputedSpecifics:
